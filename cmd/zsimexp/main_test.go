@@ -59,7 +59,7 @@ func TestUsageErrors(t *testing.T) {
 	if code := cliMain([]string{"no-such-experiment"}, &stdout, &stderr); code != 1 {
 		t.Errorf("unknown experiment: exit %d, want 1", code)
 	}
-	if code := cliMain([]string{"-weave-mode", "bogus", "fig6stream"}, &stdout, &stderr); code != 2 {
-		t.Errorf("bad weave mode: exit %d, want 2", code)
+	if code := cliMain([]string{"-weave-mode", "serial", "fig6stream"}, &stdout, &stderr); code != 2 {
+		t.Errorf("retired -weave-mode flag: exit %d, want 2", code)
 	}
 }

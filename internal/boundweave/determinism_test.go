@@ -33,7 +33,8 @@ import (
 // deterministicRun executes a fixed oversubscribed multiprocess workload
 // (8 single-thread processes on 4 cores, with locks, barriers and blocking
 // syscalls) at the given GOMAXPROCS and returns a signature of everything
-// that must be reproducible.
+// that must be reproducible. domains sets Config.WeaveDomains, which the
+// simulator ignores: varying it checks that it changes nothing.
 func deterministicRun(t *testing.T, gomaxprocs, hostThreads int, contention bool, domains int) string {
 	return deterministicRunNOC(t, gomaxprocs, hostThreads, contention, domains, false)
 }
@@ -42,13 +43,6 @@ func deterministicRun(t *testing.T, gomaxprocs, hostThreads int, contention bool
 // contention subsystem optionally enabled (on a 2x2 mesh with narrow links,
 // so router ports actually back up and the router event path is exercised).
 func deterministicRunNOC(t *testing.T, gomaxprocs, hostThreads int, contention bool, domains int, nocOn bool) string {
-	return deterministicRunMode(t, gomaxprocs, hostThreads, contention, domains, nocOn, config.WeaveParallelDet)
-}
-
-// deterministicRunMode additionally pins the weave execution mode, so the
-// parallel bounded-skew path can be compared bit-for-bit against the serial
-// reference executor.
-func deterministicRunMode(t *testing.T, gomaxprocs, hostThreads int, contention bool, domains int, nocOn bool, mode config.WeaveMode) string {
 	t.Helper()
 	old := runtime.GOMAXPROCS(gomaxprocs)
 	defer runtime.GOMAXPROCS(old)
@@ -57,12 +51,7 @@ func deterministicRunMode(t *testing.T, gomaxprocs, hostThreads int, contention 
 	cfg.NumCores = 4
 	cfg.CoreModel = config.CoreIPC1
 	cfg.Contention = contention
-	// Multi-domain weave runs are deterministic too: the engine's default
-	// deterministic mode executes events in the global (cycle, component,
-	// sequence) order regardless of the domain partition, and the bound
-	// phase still runs on 4 host workers.
 	cfg.WeaveDomains = domains
-	cfg.WeaveModeKind = mode
 	// Generous associativity so the disjoint footprints never force an
 	// eviction whose victim choice could depend on arrival order.
 	cfg.L3.SizeKB = 4096
@@ -134,9 +123,6 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, c := range []cse{
 		{"bound-only", false, 1},
 		{"bound-weave-1dom", true, 1},
-		// ≥2 weave domains: cross-domain chains (core → L3 bank → memory)
-		// exercise the engine's deterministic multi-domain order and the
-		// (cycle, component, sequence) heap tie-break.
 		{"bound-weave-2dom", true, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -153,10 +139,9 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestDeterministicNOCContention extends the GOMAXPROCS determinism matrix
 // to the NoC contention subsystem: a mesh-contended run — router events
-// interleaved with bank and memory events across 2 weave domains — must be
-// bit-identical across GOMAXPROCS and across the domain partition, because
-// router events carry the same (cycle, component, sequence) order as every
-// other weave event.
+// interleaved with bank and memory events — must be bit-identical across
+// GOMAXPROCS, because router events carry the same (cycle, sequence) order
+// as every other weave event.
 func TestDeterministicNOCContention(t *testing.T) {
 	base := deterministicRunNOC(t, 1, 4, true, 2, true)
 	for _, gm := range []int{2, 8} {
@@ -167,7 +152,7 @@ func TestDeterministicNOCContention(t *testing.T) {
 	}
 	for _, domains := range []int{1, 4} {
 		if got := deterministicRunNOC(t, 4, 4, true, domains, true); got != base {
-			t.Fatalf("NoC results differ between 2 and %d weave domains:\n  2: %s\n  %d: %s",
+			t.Fatalf("NoC results differ between WeaveDomains 2 and %d:\n  2: %s\n  %d: %s",
 				domains, base, domains, got)
 		}
 	}
@@ -178,29 +163,24 @@ func TestDeterministicNOCContention(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossDomainCount checks the stronger property the
-// deterministic engine mode provides: for a fixed seed, the domain PARTITION
-// itself does not change results — 1, 2 and 4 domains produce identical
-// simulations, because the engine always executes the reference (cycle,
-// component, sequence) order.
+// TestDeterministicAcrossDomainCount checks that Config.WeaveDomains, kept
+// only so that existing configurations still load, is ignored: 1, 2 and 4
+// produce identical simulations.
 func TestDeterministicAcrossDomainCount(t *testing.T) {
 	base := deterministicRun(t, 4, 4, true, 1)
 	for _, domains := range []int{2, 4} {
 		if got := deterministicRun(t, 4, 4, true, domains); got != base {
-			t.Fatalf("results differ between 1 and %d weave domains:\n  1: %s\n  %d: %s",
+			t.Fatalf("results differ between WeaveDomains 1 and %d:\n  1: %s\n  %d: %s",
 				domains, base, domains, got)
 		}
 	}
 }
 
-// TestDeterministicParallelWeaveMatrix is the PR 7 acceptance gate: the
-// parallel bounded-skew weave executor must be BIT-IDENTICAL to the serial
-// reference executor (the old single-heap (cycle, component, sequence)
-// order) across the full matrix of GOMAXPROCS {1,2,4} x weave domains
-// {1,2,4}, with the NoC contention subsystem both off and on. The serial
-// run is the reference; every parallel cell must reproduce its signature
-// exactly — core cycles, miss counters, router queue delays, everything the
-// signature string carries.
+// TestDeterministicParallelWeaveMatrix checks the weave under every kind of
+// host parallelism at once: across GOMAXPROCS {1,2,4} x bound-phase host
+// threads {1,2,4}, with the NoC contention subsystem off and on, a contended
+// run must reproduce the single-threaded reference exactly — core cycles,
+// miss counters, router queue delays, everything the signature carries.
 func TestDeterministicParallelWeaveMatrix(t *testing.T) {
 	for _, nocOn := range []bool{false, true} {
 		name := "noc-off"
@@ -208,13 +188,13 @@ func TestDeterministicParallelWeaveMatrix(t *testing.T) {
 			name = "noc-on"
 		}
 		t.Run(name, func(t *testing.T) {
-			ref := deterministicRunMode(t, 1, 4, true, 1, nocOn, config.WeaveSerial)
+			ref := deterministicRunNOC(t, 1, 1, true, 1, nocOn)
 			for _, gm := range []int{1, 2, 4} {
-				for _, domains := range []int{1, 2, 4} {
-					got := deterministicRunMode(t, gm, 4, true, domains, nocOn, config.WeaveParallelDet)
+				for _, host := range []int{1, 2, 4} {
+					got := deterministicRunNOC(t, gm, host, true, 1, nocOn)
 					if got != ref {
-						t.Fatalf("parallel weave (GOMAXPROCS=%d, domains=%d) diverged from serial reference:\n  serial:   %s\n  parallel: %s",
-							gm, domains, ref, got)
+						t.Fatalf("weave (GOMAXPROCS=%d, host threads=%d) diverged from the single-threaded reference:\n  ref: %s\n  got: %s",
+							gm, host, ref, got)
 					}
 				}
 			}
@@ -225,16 +205,13 @@ func TestDeterministicParallelWeaveMatrix(t *testing.T) {
 	}
 }
 
-// sharedTrafficRun runs a heavily write-shared hotspot workload (the
-// mesh-hotspot traffic shape at small scale) with a single bound worker, so
-// the bound phase is deterministic and every difference in the signature
-// comes from the weave phase. Shared traffic matters: it floods the routers
-// and banks with same-cycle events from different cores, exercising the
-// weave order's tie-breaks — which the disjoint pinned workload above never
-// stresses. (A plain push-when-ready heap breaks ties by arrival order,
-// which is unparallelizable and was the source of a real serial-vs-parallel
-// divergence; the engine's (cycle, sequence) total order is tie-exact.)
-func sharedTrafficRun(t *testing.T, gomaxprocs, domains int, mode config.WeaveMode) string {
+// sharedTrafficRun runs the mesh-hotspot traffic shape (hotspotParams) with a
+// single bound worker, so the bound phase is deterministic and every
+// difference in the signature comes from the weave phase. Shared traffic
+// floods the routers and banks with same-cycle events from different cores,
+// exercising the weave order's tie-breaks, which the disjoint pinned
+// workload above never stresses.
+func sharedTrafficRun(t *testing.T, gomaxprocs int) string {
 	t.Helper()
 	old := runtime.GOMAXPROCS(gomaxprocs)
 	defer runtime.GOMAXPROCS(old)
@@ -243,54 +220,34 @@ func sharedTrafficRun(t *testing.T, gomaxprocs, domains int, mode config.WeaveMo
 	cfg.Contention = true
 	cfg.NOCContention = true
 	cfg.NOCLinkBytes = 4
-	cfg.WeaveDomains = domains
-	cfg.WeaveModeKind = mode
 	sys, err := BuildSystem(cfg)
 	if err != nil {
 		t.Fatalf("BuildSystem: %v", err)
 	}
-	p := trace.DefaultParams()
-	p.BlocksPerThread = 120
-	p.ScaleWork = false
-	p.MemFraction = 0.4
-	p.StoreFraction = 0.5
-	p.SharedWorkingSet = 4 << 10
-	p.SharedFraction = 0.7
-	p.WorkingSet = 128 << 10
 	sched := virt.NewScheduler(cfg.NumCores)
-	sched.AddWorkload(trace.New("shared-hotspot", p, 32))
+	sched.AddWorkload(trace.New("shared-hotspot", hotspotParams(), 32))
 	sim := NewSimulator(sys, sched, Options{HostThreads: 1, Seed: 7})
 	sim.Run()
 
 	var sb strings.Builder
 	m := sys.Metrics()
-	fmt.Fprintf(&sb, "cycles=%d instrs=%d l3=%d weave=%d feedback=%d",
-		m.Cycles, m.Instrs, m.L3Misses, sim.WeaveEvents, sim.TotalFeedback)
-	if sys.Fabric != nil {
-		fs := sys.Fabric.TotalStats()
-		fmt.Fprintf(&sb, " noc(trav=%d conflicts=%d stalls=%d delay=%d)",
-			fs.Traversals, fs.PortConflicts, fs.QueueStalls, fs.QueueDelay)
-	}
+	fs := sys.Fabric.TotalStats()
+	fmt.Fprintf(&sb, "cycles=%d instrs=%d l3=%d weave=%d feedback=%d noc(trav=%d conflicts=%d stalls=%d delay=%d)",
+		m.Cycles, m.Instrs, m.L3Misses, sim.WeaveEvents, sim.TotalFeedback,
+		fs.Traversals, fs.PortConflicts, fs.QueueStalls, fs.QueueDelay)
 	return sb.String()
 }
 
 // TestParallelWeaveSharedTrafficMatchesSerial is the tie-break half of the
-// PR 7 bit-identity gate: under contended shared traffic, the parallel
-// bounded-skew weave (inline fallback at GOMAXPROCS=1 and the concurrent
-// worker path at GOMAXPROCS=4) must reproduce the serial reference exactly,
-// router queue delays included.
+// weave determinism gate: under contended shared traffic, a run with
+// GOMAXPROCS=4 must reproduce the GOMAXPROCS=1 run exactly, router queue
+// delays included.
 func TestParallelWeaveSharedTrafficMatchesSerial(t *testing.T) {
-	ref := sharedTrafficRun(t, 1, 4, config.WeaveSerial)
-	for _, gm := range []int{1, 4} {
-		for _, domains := range []int{2, 4} {
-			got := sharedTrafficRun(t, gm, domains, config.WeaveParallelDet)
-			if got != ref {
-				t.Fatalf("shared-traffic parallel weave (GOMAXPROCS=%d, domains=%d) diverged:\n  serial:   %s\n  parallel: %s",
-					gm, domains, ref, got)
-			}
-		}
+	ref := sharedTrafficRun(t, 1)
+	if got := sharedTrafficRun(t, 4); got != ref {
+		t.Fatalf("shared-traffic weave diverged between GOMAXPROCS 1 and 4:\n  1: %s\n  4: %s", ref, got)
 	}
-	if !strings.Contains(ref, "noc(trav=") || strings.Contains(ref, "noc(trav=0 ") {
+	if strings.Contains(ref, "noc(trav=0 ") {
 		t.Fatalf("shared-traffic run recorded no router traversals: %s", ref)
 	}
 }

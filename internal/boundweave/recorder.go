@@ -121,8 +121,8 @@ func (r *Recorder) Reset() {
 // BankModel is the weave-phase contention model for a pipelined L3 bank: a
 // single address port accepts one access per cycle, and a limited number of
 // MSHRs bounds outstanding misses (each miss holds an MSHR for roughly the
-// memory round trip). It is driven from exactly one weave domain, so it needs
-// no locking.
+// memory round trip). Only the weave engine drives it, so it needs no
+// locking.
 type BankModel struct {
 	// Latency is the bank's zero-load access latency.
 	Latency uint32
@@ -194,13 +194,12 @@ func (b *BankModel) Reset() {
 }
 
 // weaveModels bundles the per-component contention models used by the weave
-// phase of one Simulator, as dense component-ID-indexed tables. fabric and
-// routerComp (node-indexed) are non-nil only when NoC contention is enabled.
+// phase of one Simulator, as dense component-ID-indexed tables. fabric is
+// non-nil only when NoC contention is enabled.
 type weaveModels struct {
-	banks      []*BankModel
-	mems       []memctrl.ContentionModel
-	fabric     *noc.Fabric
-	routerComp []int
+	banks  []*BankModel
+	mems   []memctrl.ContentionModel
+	fabric *noc.Fabric
 }
 
 func (m *weaveModels) bank(comp int) *BankModel {
@@ -246,10 +245,9 @@ func routerExec(ev *event.Event, dispatch uint64) uint64 {
 // subsequent misses, cascading the contention delay through the access
 // stream exactly as the stalled bound-phase core would have experienced it.
 // Stores do not gate later accesses (the core does not stall on them).
-func buildChain(slab *event.Slab, rec *accessRecord, coreComp int, models *weaveModels, prevResp *event.Event) *event.Event {
+func buildChain(slab *event.Slab, rec *accessRecord, models *weaveModels, prevResp *event.Event) *event.Event {
 	// Root: the core issues the request at its bound-phase cycle.
 	root := slab.Alloc()
-	root.Comp = coreComp
 	root.MinCycle = rec.issueCycle
 	if prevResp != nil {
 		prevResp.AddChild(root)
@@ -273,7 +271,6 @@ func buildChain(slab *event.Slab, rec *accessRecord, coreComp int, models *weave
 				for cur != dst {
 					next, port := fab.NextHop(cur, dst)
 					ev := slab.Alloc()
-					ev.Comp = models.routerComp[cur]
 					ev.MinCycle = minCycle
 					ev.Ctx = fab.Router(cur)
 					ev.Arg = uint64(port)
@@ -292,7 +289,6 @@ func buildChain(slab *event.Slab, rec *accessRecord, coreComp int, models *weave
 			if fab := models.fabric; fab != nil {
 				src := int(h.Src)
 				ev := slab.Alloc()
-				ev.Comp = models.routerComp[src]
 				ev.MinCycle = h.Cycle
 				ev.Ctx = fab.Router(src)
 				ev.Arg = uint64(fab.MemPort())
@@ -305,7 +301,6 @@ func buildChain(slab *event.Slab, rec *accessRecord, coreComp int, models *weave
 		}
 		if bank := models.bank(h.Comp); bank != nil {
 			ev := slab.Alloc()
-			ev.Comp = h.Comp
 			ev.MinCycle = h.Cycle
 			ev.Ctx = bank
 			ev.Flag = h.Kind == cache.HopMiss
@@ -317,7 +312,6 @@ func buildChain(slab *event.Slab, rec *accessRecord, coreComp int, models *weave
 		}
 		if mem := models.mem(h.Comp); mem != nil {
 			ev := slab.Alloc()
-			ev.Comp = h.Comp
 			ev.MinCycle = h.Cycle
 			ev.Ctx = mem
 			ev.Arg = h.Line
@@ -335,7 +329,6 @@ func buildChain(slab *event.Slab, rec *accessRecord, coreComp int, models *weave
 	// Response event back at the core: its lower bound is the access's
 	// zero-load completion; its actual finish reflects contention upstream.
 	resp := slab.Alloc()
-	resp.Comp = coreComp
 	resp.MinCycle = lastZeroLoadDone
 	prev.AddChild(resp)
 	return resp

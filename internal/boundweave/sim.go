@@ -60,16 +60,15 @@ type Options struct {
 	// only: results are bit-identical with or without a probe.
 	Probe *telemetry.Probe
 	// Trace, when non-nil, receives bounded Chrome-trace slices: one
-	// bound/weave slice per interval on the phases track and per-domain
-	// execution/stall slices from the weave workers.
+	// bound/weave slice per interval on the phases track.
 	Trace *telemetry.TraceSink
 }
 
 // Simulator drives the bound-weave loop over a built System and a scheduler
-// full of workload threads. Both phases execute on one persistent worker
-// pool: bound workers draw core assignments from a shared atomic counter,
-// and the weave engine drives its event domains with the same parked
-// goroutines, so steady-state intervals spawn no goroutines at all.
+// full of workload threads. The bound phase runs on a persistent worker pool
+// whose workers draw core assignments from a shared atomic counter, so
+// steady-state intervals spawn no goroutines at all; the weave phase runs on
+// the goroutine that called Run.
 type Simulator struct {
 	Sys   *System
 	Sched *virt.Scheduler
@@ -82,11 +81,11 @@ type Simulator struct {
 	recorders []*Recorder
 	slabs     []*event.Slab
 	models    *weaveModels
-	// pool is the unified persistent worker pool shared by the bound phase
-	// and the weave engine; it is sized max(hostThreads, weave domains).
+	// pool is the bound phase's persistent worker pool (hostThreads
+	// workers).
 	pool *engine.Pool
-	// engine is the persistent weave engine: built once here on the shared
-	// pool, reused every interval, closed when Run finishes.
+	// engine is the persistent weave engine: built once here and reused
+	// every interval.
 	engine *event.Engine
 	// last is the per-core scratch used by runWeave to track each core's
 	// latest response event.
@@ -189,15 +188,7 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 		s.lastTid[i] = -1
 	}
 
-	// One persistent pool serves both phases: the bound phase wakes up to
-	// hostThreads workers, and the (default) parallel weave needs one worker
-	// per domain — domains park mid-interval waiting on horizons, so they
-	// cannot share workers. Only the serial escape hatch runs weave inline.
-	poolSize := host
-	if s.contention && cfg.WeaveModeKind != config.WeaveSerial && sys.NumDomains > poolSize {
-		poolSize = sys.NumDomains
-	}
-	s.pool = engine.NewPool(poolSize)
+	s.pool = engine.NewPool(host)
 
 	if s.contention {
 		maxComp := -1
@@ -221,7 +212,6 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			// from idle port clocks.
 			sys.Fabric.Reset()
 			s.models.fabric = sys.Fabric
-			s.models.routerComp = sys.RouterComp
 		}
 		for i, comp := range sys.BankComp {
 			s.models.banks[comp] = NewBankModel(sys.Banks[i].Latency(), sys.Banks[i].MSHRs(), uint64(cfg.MemLatency))
@@ -249,31 +239,22 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			rec := newRecorderDense(a, coreID, sharedArr)
 			s.recorders = append(s.recorders, rec)
 			c.SetRecorder(rec)
-			slab := event.NewSlabIn(a, 512)
+			// A core takes a whole chunk on its first event, and most
+			// cores record a few dozen events per interval: small chunks
+			// keep a many-core chip's slabs from dominating its footprint.
+			slab := event.NewSlabIn(a, 64)
 			// Disjoint per-core sequence bases give every interval event a
 			// globally unique, bound-phase-deterministic sequence number for
-			// the weave heaps' (cycle, component, sequence) tie-break.
+			// the weave heap's (cycle, sequence) tie-break.
 			slab.SetSeqBase(uint64(coreID) << 32)
 			s.slabs = append(s.slabs, slab)
 		}
-		// The weave engine is persistent and shares the bound phase's worker
-		// pool: its domains, queues and workers are built once and reused by
-		// every interval.
-		s.engine = event.NewEngineOnPool(sys.NumDomains, s.pool)
-		if cfg.WeaveModeKind == config.WeaveSerial {
-			s.engine.SetMode(event.ModeSerial)
-		}
-		for comp, dom := range sys.CompDomain {
-			s.engine.AssignComponent(comp, dom)
-		}
+		s.engine = event.NewEngine()
 		s.last = arena.Take[lastResp](a, len(sys.Cores))
 	}
 	s.instrsTotal.Store(s.totalInstrs())
 	s.probe = opts.Probe
 	s.traceSink = opts.Trace
-	if s.engine != nil {
-		s.engine.SetTrace(opts.Trace)
-	}
 	if opts.Profiler != nil {
 		for _, c := range sys.Cores {
 			c.SetObserver(opts.Profiler)
@@ -306,34 +287,30 @@ func (s *Simulator) totalInstrs() uint64 {
 	return n
 }
 
-// Close releases the simulator's persistent resources (the weave engine and
-// the shared worker pool). It is idempotent; Run closes the simulator itself
-// when it returns, so Close only needs to be called for simulators that are
-// built but never run (e.g. construction benchmarks).
+// Close releases the simulator's worker pool. It is idempotent; Run closes
+// the simulator itself when it returns, so Close only needs to be called for
+// simulators that are built but never run (e.g. construction benchmarks).
 func (s *Simulator) Close() {
-	if s.engine != nil {
-		s.engine.Close()
-	}
 	s.pool.Close()
 }
 
 // Reset rewinds a reusable simulator — and the System underneath it — to the
 // state a freshly built pair would have, so the same instance can serve
 // another run without reconstruction. Everything expensive stays warm: the
-// construction arena's chunks, the worker pool, the weave engine with its
-// domains and queues, the per-core recorders, event slabs and contention
-// models. Only their mutable state rewinds, so a Reset simulator produces
-// bit-identical results to a fresh build for the same options and workloads.
+// construction arena's chunks, the worker pool, the weave engine's heap, the
+// per-core recorders, event slabs and contention models. Only their mutable
+// state rewinds, so a Reset simulator produces bit-identical results to a
+// fresh build for the same options and workloads.
 //
 // opts may vary the run-variable knobs (seed, limits, cancellation token,
-// profiler); shape-defining state (interval length, contention models,
-// domain count, pool size) comes from the System and is retained. The
-// scheduler is not touched — the caller clears and repopulates it with
-// workloads before the next Run.
+// profiler); shape-defining state (interval length, contention models, pool
+// size) comes from the System and is retained. The scheduler is not touched
+// — the caller clears and repopulates it with workloads before the next Run.
 //
-// Reset requires a quiescent simulator whose last Run did not panic: an
-// aborted engine may hold parked workers in an undefined state and must be
-// Closed instead (Reset returns an error and leaves the simulator untouched).
+// Reset requires a quiescent simulator whose last Run did not panic: a
+// panicked weave leaves unexecuted events in the engine's heap, so such a
+// simulator must be Closed instead (Reset returns an error and leaves the
+// simulator untouched).
 func (s *Simulator) Reset(opts Options) error {
 	if s.Reason == runctl.ReasonPanicked {
 		return errors.New("boundweave: cannot Reset a simulator after a panicked run; Close it and build a fresh one")
@@ -363,7 +340,6 @@ func (s *Simulator) Reset(opts Options) error {
 				m.Reset()
 			}
 		}
-		s.engine.Reset()
 		for i := range s.last {
 			s.last[i] = lastResp{}
 		}
@@ -403,9 +379,6 @@ func (s *Simulator) Reset(opts Options) error {
 	s.phase = ""
 	s.probe = opts.Probe
 	s.traceSink = opts.Trace
-	if s.engine != nil {
-		s.engine.SetTrace(opts.Trace)
-	}
 	s.lastWorkers = 0
 
 	s.Intervals = 0
@@ -556,7 +529,7 @@ func (s *Simulator) runInterval() bool {
 	s.Sched.EndInterval(intervalEnd)
 	boundDur := time.Since(boundStart)
 	s.BoundNanos += boundDur.Nanoseconds()
-	s.traceSink.Add(telemetry.TrackPhases, "bound", boundStart, boundDur, s.Intervals)
+	s.traceSink.Add("bound", boundStart, boundDur, s.Intervals)
 
 	// Weave phase: retime the recorded accesses with contention models. The
 	// phase boundary is the second cancellation point of the interval: a run
@@ -571,7 +544,7 @@ func (s *Simulator) runInterval() bool {
 		s.probe.SetPhase(telemetry.PhaseBound)
 		weaveDur := time.Since(weaveStart)
 		s.WeaveNanos += weaveDur.Nanoseconds()
-		s.traceSink.Add(telemetry.TrackPhases, "weave", weaveStart, weaveDur, s.Intervals)
+		s.traceSink.Add("weave", weaveStart, weaveDur, s.Intervals)
 	}
 
 	s.globalCycle = intervalEnd
@@ -601,9 +574,6 @@ func (s *Simulator) publishTelemetry() {
 		RunnableThreads: sc.Runnable,
 	}
 	smp.PoolRuns, smp.PoolWakes = s.pool.Stats()
-	if s.engine != nil {
-		smp.HorizonParks, smp.DomainWakes, smp.CrossHandoffs, smp.StallNanos = s.engine.Telemetry()
-	}
 	s.probe.Publish(smp)
 }
 
@@ -616,6 +586,11 @@ func (s *Simulator) boundWorker(_ int) {
 			return
 		}
 		s.runCoreRound(s.curAsg[idx])
+		// Yield once per core slice. A bound round keeps every pool worker
+		// busy until the round drains, so without a yield point the
+		// goroutines sharing the host with a simulation (a daemon's HTTP
+		// handlers and clients) wait for a whole round to get a CPU.
+		runtime.Gosched()
 	}
 }
 
@@ -683,7 +658,7 @@ loop:
 }
 
 // runWeave builds the interval's event graph from the per-core recorders,
-// executes it on the persistent engine across parallel domains, and feeds
+// executes it on the persistent engine, and feeds
 // the contention delays back into the core clocks. Once the slabs, queues
 // and hop freelists have warmed up, a steady-state weave interval performs
 // no heap allocation.
@@ -699,11 +674,10 @@ func (s *Simulator) runWeave() {
 	for coreID, rec := range s.recorders {
 		slab := s.slabs[coreID]
 		slab.Reset()
-		coreComp := s.Sys.CoreComp[coreID]
 		var prevLoadResp *event.Event
 		for i := range rec.recs {
 			r := &rec.recs[i]
-			resp := buildChain(slab, r, coreComp, s.models, prevLoadResp)
+			resp := buildChain(slab, r, s.models, prevLoadResp)
 			if !r.write {
 				prevLoadResp = resp
 			}

@@ -7,8 +7,8 @@
 // phase, every scheduled core is simulated in parallel assuming zero-load
 // latencies, bounded in skew by the interval barrier, while recording the
 // hierarchy hops of every access that misses beyond the private cache levels.
-// In the weave phase, those hops become events that are replayed in full
-// order per component across parallel domains, applying detailed contention
+// In the weave phase, those hops become events that are replayed in one
+// (cycle, sequence) order on a single event heap, applying detailed contention
 // models (pipelined L3 banks with limited MSHRs, DDR3 memory controllers).
 // The extra latency observed for each core's accesses is then fed back into
 // the core's clocks before the next interval.
@@ -28,7 +28,7 @@ import (
 )
 
 // System is the fully built simulated chip: cores, hierarchy, network and
-// memory, plus the component-ID and domain maps the weave phase needs.
+// memory, plus the component IDs the weave phase needs.
 type System struct {
 	Cfg  *config.System
 	Root *stats.Registry
@@ -44,11 +44,8 @@ type System struct {
 
 	// Fabric is the weave-phase NoC contention subsystem (nil unless the
 	// configuration enables both Contention and NOCContention): one router
-	// per topology node, each a weave component of its own.
+	// per topology node.
 	Fabric *noc.Fabric
-	// RouterComp maps topology node -> the node's router component ID (only
-	// when Fabric is non-nil).
-	RouterComp []int
 
 	// Component IDs.
 	CoreComp []int
@@ -59,9 +56,6 @@ type System struct {
 	// it: a traversal only matters when the bank or controller behind it is
 	// already weave-retimed.
 	SharedComp map[int]bool
-	// CompDomain maps every weave-relevant component to its domain.
-	CompDomain map[int]int
-	NumDomains int
 }
 
 // BuildSystem constructs the simulated chip described by the configuration.
@@ -78,7 +72,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		Cfg:        cfg,
 		Root:       root,
 		SharedComp: make(map[int]bool),
-		CompDomain: make(map[int]int),
 	}
 
 	nextComp := 0
@@ -229,10 +222,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 			QueueDepth:    queueDepth,
 			MemHopLatency: cfg.NetHopCycles,
 		}, root.Child("noc"))
-		sys.RouterComp = arena.Take[int](root.Arena(), nodes)
-		for n := range sys.RouterComp {
-			sys.RouterComp[n] = alloc()
-		}
 		// Traversal -> topology-node resolvers. They use the same tile
 		// placement as the zero-load distance function, normalized into the
 		// node range so the weave translation can index router tables
@@ -252,33 +241,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		})
 	}
 
-	// Domain assignment. Cores keep contiguous vertical slices (Figure 3):
-	// a core's chain events mostly stay within its own slice. The hot shared
-	// components — cache banks, memory controllers, NoC routers — are dealt
-	// round-robin instead, so the handful of contended components in a
-	// hotspot workload lands on *different* domains and the parallel weave
-	// has independent work to run concurrently (a contiguous split of, say,
-	// 4 banks over 4 domains is identical to round-robin, but contiguous
-	// placement of 64 routers would pin each mesh quadrant — and thus a
-	// hotspot's whole neighborhood — on one domain). Results are unaffected
-	// by the partition: the weave order at every component is a pure
-	// function of the bound phase (TestDeterministicAcrossDomainCount).
-	sys.NumDomains = cfg.WeaveDomains
-	if sys.NumDomains < 1 {
-		sys.NumDomains = 1
-	}
-	for cID, comp := range sys.CoreComp {
-		sys.CompDomain[comp] = cID * sys.NumDomains / cfg.NumCores
-	}
-	for b, comp := range sys.BankComp {
-		sys.CompDomain[comp] = b % sys.NumDomains
-	}
-	for m, comp := range sys.MemComp {
-		sys.CompDomain[comp] = m % sys.NumDomains
-	}
-	for n, comp := range sys.RouterComp {
-		sys.CompDomain[comp] = n % sys.NumDomains
-	}
 	return sys, nil
 }
 

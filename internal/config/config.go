@@ -44,23 +44,6 @@ const (
 	WeaveMemNone        WeaveMemModel = "none"         // no DRAM contention
 )
 
-// WeaveMode selects the weave-phase execution discipline.
-type WeaveMode string
-
-// Supported weave modes.
-const (
-	// WeaveParallelDet (the default) runs the weave domains concurrently:
-	// every event is pre-created in its domain's queue at its bound-phase
-	// lower bound and per-domain committed horizons bound the skew between
-	// domains, so results are bit-identical to WeaveSerial for a fixed seed,
-	// regardless of GOMAXPROCS, host threads or the domain count.
-	WeaveParallelDet WeaveMode = "parallel"
-	// WeaveSerial is the serial-fallback escape hatch: the weave phase runs
-	// inline on one host core in the global (cycle, component, sequence)
-	// reference order. Same results, no host parallelism.
-	WeaveSerial WeaveMode = "serial"
-)
-
 // NetworkKind selects the NoC topology.
 type NetworkKind string
 
@@ -168,14 +151,11 @@ type System struct {
 	IntervalCycles uint64 `json:"intervalCycles"`
 	// Contention enables the weave phase; without it only the bound phase
 	// runs (the paper's -NC configurations).
-	Contention   bool          `json:"contention"`
-	WeaveMem     WeaveMemModel `json:"weaveMem"`
-	WeaveDomains int           `json:"weaveDomains"`
-	// WeaveModeKind selects the weave execution discipline. The default
-	// ("" = "parallel") runs the domains concurrently on the host with
-	// results bit-identical to the serial reference order; "serial" is the
-	// escape hatch that keeps the whole weave phase inline on one host core.
-	WeaveModeKind WeaveMode `json:"weaveMode,omitempty"`
+	Contention bool          `json:"contention"`
+	WeaveMem   WeaveMemModel `json:"weaveMem"`
+	// WeaveDomains is ignored: the weave phase runs as one event heap. The
+	// field remains so that existing configurations keep loading.
+	WeaveDomains int `json:"weaveDomains"`
 	// HostThreads caps the number of host worker threads used by the bound
 	// phase barrier (0 = number of host CPUs).
 	HostThreads int `json:"hostThreads"`
@@ -261,16 +241,6 @@ func (s *System) Validate() error {
 	if s.WeaveMem == "" {
 		s.WeaveMem = WeaveMemDDR3
 	}
-	if s.WeaveDomains <= 0 {
-		s.WeaveDomains = minInt(s.NumCores, 16)
-	}
-	if s.WeaveModeKind == "" {
-		s.WeaveModeKind = WeaveParallelDet
-	}
-	if s.WeaveModeKind != WeaveParallelDet && s.WeaveModeKind != WeaveSerial {
-		return fmt.Errorf("config: unknown weave mode %q (want %q or %q)",
-			s.WeaveModeKind, WeaveParallelDet, WeaveSerial)
-	}
 	if s.OOO.IssueWidth == 0 {
 		s.OOO = DefaultOOOParams()
 	}
@@ -280,46 +250,28 @@ func (s *System) Validate() error {
 	return nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// UnmarshalJSON decodes a System, rejecting unknown fields itself (a custom
-// unmarshaler never inherits the outer decoder's DisallowUnknownFields). The
-// retired weaveParallel flag — removed from the struct; the deterministic
-// parallel weave made it meaningless — is still accepted with a warning for
-// one release so pre-existing JSON configs keep loading.
+// UnmarshalJSON decodes a System, rejecting unknown fields wherever it is
+// decoded: plain json.Unmarshal accepts them, so a System nested in a
+// request or a prewarm file would otherwise silently ignore misspelled keys.
 func (s *System) UnmarshalJSON(data []byte) error {
 	type bare System // method-free alias: plain field decoding, no recursion
-	shadow := struct {
-		*bare
-		WeaveParallel *bool `json:"weaveParallel"`
-	}{bare: (*bare)(s)}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&shadow); err != nil {
-		return err
-	}
-	if shadow.WeaveParallel != nil {
-		fmt.Fprintln(os.Stderr, "config: warning: weaveParallel is deprecated and ignored (the parallel weave is deterministic and on by default; use weaveMode \"serial\" for the inline fallback) — it will be rejected in a future release")
-	}
-	return nil
+	return dec.Decode((*bare)(s))
 }
 
 // ShapeKey hashes every construction-shape field of the configuration: the
 // fields that determine what BuildSystem and NewSimulator allocate and wire
-// (core counts and models, hierarchy geometry, network, controllers, weave
-// mode and domains, host threads). Run-variable fields — the name and the
-// run limits, which Options carry per run — are excluded, so two configs
+// (core counts and models, hierarchy geometry, network, controllers, host
+// threads). Run-variable fields — the name and the run limits, which Options
+// carry per run — and the ignored WeaveDomains are excluded, so two configs
 // with equal shape keys can share one warm simulator via Reset. Validate
 // both configs first: validation fills defaults, and an unvalidated config
 // hashes differently from its validated self.
 func (s *System) ShapeKey() uint64 {
 	shape := *s
 	shape.Name = ""
+	shape.WeaveDomains = 0
 	shape.MaxWallTime = 0
 	shape.MaxCycles = 0
 	h := fnv.New64a()
@@ -368,7 +320,7 @@ func LoadFile(path string) (*System, error) {
 
 // WestmereValidation returns the Table 2 configuration: the 6-core Westmere
 // (Xeon L5640) system zsim is validated against, with its corresponding
-// simulator settings (1000-cycle intervals, 6 weave threads).
+// simulator settings (1000-cycle intervals).
 func WestmereValidation() *System {
 	s := &System{
 		Name:         "westmere-6c",
@@ -390,7 +342,6 @@ func WestmereValidation() *System {
 		IntervalCycles:   1000,
 		Contention:       true,
 		WeaveMem:         WeaveMemDDR3,
-		WeaveDomains:     6,
 	}
 	if err := s.Validate(); err != nil {
 		panic("config: invalid Westmere preset: " + err.Error())
@@ -426,7 +377,6 @@ func TiledChip(tiles int, model CoreModel) *System {
 		IntervalCycles:   1000,
 		Contention:       true,
 		WeaveMem:         WeaveMemDDR3,
-		WeaveDomains:     minInt(tiles, 16),
 	}
 	if err := s.Validate(); err != nil {
 		panic("config: invalid tiled preset: " + err.Error())
@@ -463,7 +413,6 @@ func SmallTest() *System {
 		IntervalCycles:   1000,
 		Contention:       false,
 		WeaveMem:         WeaveMemDDR3,
-		WeaveDomains:     2,
 	}
 	if err := s.Validate(); err != nil {
 		panic("config: invalid small preset: " + err.Error())

@@ -21,7 +21,7 @@ func TestWestmerePreset(t *testing.T) {
 	if s.L1D.Latency != 4 || s.L1I.Latency != 3 || s.L2.Latency != 7 {
 		t.Fatalf("Westmere cache latencies wrong")
 	}
-	if s.IntervalCycles != 1000 || s.WeaveDomains != 6 {
+	if s.IntervalCycles != 1000 {
 		t.Fatalf("Westmere bound-weave settings wrong")
 	}
 	if s.Network != NetRing {
@@ -100,7 +100,7 @@ func TestValidateDefaults(t *testing.T) {
 	if s.CoreModel != CoreOOO || s.MemModel != MemSimple || s.Network != NetFlat {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
-	if s.IntervalCycles != 1000 || s.WeaveDomains != 2 || s.MemControllers != 1 {
+	if s.IntervalCycles != 1000 || s.MemControllers != 1 {
 		t.Fatalf("bound-weave defaults wrong: %+v", s)
 	}
 	if s.L1I.Ways != 1 || s.L3.Banks != 1 {
@@ -205,39 +205,24 @@ func TestRunLimitsRoundTripAndDefaults(t *testing.T) {
 	}
 }
 
-func TestWeaveModeRoundTripAndDefaults(t *testing.T) {
-	// Default: unset normalizes to the parallel-deterministic mode.
-	s := SmallTest()
-	if s.WeaveModeKind != WeaveParallelDet {
-		t.Fatalf("default weave mode should be %q, got %q", WeaveParallelDet, s.WeaveModeKind)
+// TestRetiredWeaveKeys checks what is left of the weave configuration: the
+// retired weaveMode key is an unknown field, and weaveDomains still loads
+// but changes nothing, not even the shape key.
+func TestRetiredWeaveKeys(t *testing.T) {
+	const geometry = `"l1i":{"sizeKB":16},"l1d":{"sizeKB":16},"l2":{"sizeKB":64},"l3":{"sizeKB":256}`
+	if _, err := Load(strings.NewReader(`{"numCores":2,"weaveMode":"serial",` + geometry + `}`)); err == nil ||
+		!strings.Contains(err.Error(), "weaveMode") {
+		t.Fatalf("weaveMode should be an unknown field, got %v", err)
 	}
-	// The serial escape hatch survives a JSON round trip.
-	s.WeaveModeKind = WeaveSerial
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := Load(&buf)
+	withDomains, err := Load(strings.NewReader(`{"numCores":2,"weaveDomains":4,` + geometry + `}`))
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("weaveDomains should still load: %v", err)
 	}
-	if got.WeaveModeKind != WeaveSerial {
-		t.Fatalf("weave mode lost in round trip: %q", got.WeaveModeKind)
-	}
-	// Unknown modes are rejected.
-	bad := SmallTest()
-	bad.WeaveModeKind = "fast-and-loose"
-	if err := bad.Validate(); err == nil {
-		t.Fatalf("unknown weave mode should be rejected")
-	}
-	// The deprecated weaveParallel flag still loads (ignored) so existing
-	// configs keep working under DisallowUnknownFields.
-	legacy, err := Load(strings.NewReader(`{"numCores":2,"weaveParallel":true,
-		"l1i":{"sizeKB":16},"l1d":{"sizeKB":16},"l2":{"sizeKB":64},"l3":{"sizeKB":256}}`))
+	without, err := Load(strings.NewReader(`{"numCores":2,` + geometry + `}`))
 	if err != nil {
-		t.Fatalf("legacy weaveParallel config should load: %v", err)
+		t.Fatal(err)
 	}
-	if legacy.WeaveModeKind != WeaveParallelDet {
-		t.Fatalf("legacy flag must not change the mode: %q", legacy.WeaveModeKind)
+	if withDomains.ShapeKey() != without.ShapeKey() {
+		t.Fatalf("weaveDomains changed the shape key")
 	}
 }

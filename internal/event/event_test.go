@@ -1,14 +1,12 @@
 package event
 
 import (
-	"runtime"
-	"sync"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"zsim/internal/runctl"
 )
 
 func TestSlabAllocAndReset(t *testing.T) {
@@ -16,7 +14,7 @@ func TestSlabAllocAndReset(t *testing.T) {
 	var evs []*Event
 	for i := 0; i < 10; i++ { // forces growth past the first chunk
 		e := s.Alloc()
-		e.Comp = i
+		e.Arg = uint64(i)
 		evs = append(evs, e)
 	}
 	if s.InUse() != 10 {
@@ -24,8 +22,8 @@ func TestSlabAllocAndReset(t *testing.T) {
 	}
 	// Growth must not invalidate earlier pointers.
 	for i, e := range evs {
-		if e.Comp != i {
-			t.Fatalf("event %d corrupted after slab growth: comp=%d", i, e.Comp)
+		if e.Arg != uint64(i) || e.Seq() != uint64(i) {
+			t.Fatalf("event %d corrupted after slab growth: arg=%d seq=%d", i, e.Arg, e.Seq())
 		}
 	}
 	s.Reset()
@@ -33,7 +31,7 @@ func TestSlabAllocAndReset(t *testing.T) {
 		t.Fatalf("reset should clear in-use count")
 	}
 	e := s.Alloc()
-	if e.Comp != 0 || e.MinCycle != 0 || e.Exec != nil {
+	if e.Arg != 0 || e.MinCycle != 0 || e.Exec != nil || e.Seq() != 0 {
 		t.Fatalf("recycled event should be zeroed")
 	}
 	// Minimum chunk size.
@@ -60,11 +58,10 @@ func TestSlabRecyclesChildCapacity(t *testing.T) {
 		t.Fatalf("recycled event must not keep stale children")
 	}
 	// Appending a child to the recycled event must not allocate: the children
-	// and parents slices keep their capacity across Reset.
+	// slice keeps its capacity across Reset.
 	c2 := s.Alloc()
 	allocs := testing.AllocsPerRun(1, func() {
 		p2.children = p2.children[:0]
-		c2.parents = c2.parents[:0]
 		p2.AddChild(c2)
 	})
 	if allocs != 0 {
@@ -101,14 +98,9 @@ func TestEventPQOrdering(t *testing.T) {
 }
 
 func TestSingleEventExecution(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
-	if eng.NumDomains() != 2 {
-		t.Fatalf("domains: %d", eng.NumDomains())
-	}
+	eng := NewEngine()
 	s := NewSlab(16)
 	ev := s.Alloc()
-	ev.Comp = 0
 	ev.MinCycle = 100
 	var got uint64
 	ev.Exec = func(_ *Event, c uint64) uint64 { got = c; return c + 25 }
@@ -126,16 +118,13 @@ func TestSingleEventExecution(t *testing.T) {
 }
 
 func TestParentChildDelayPropagation(t *testing.T) {
-	eng := NewEngine(1)
-	defer eng.Close()
+	eng := NewEngine()
 	s := NewSlab(16)
 	parent := s.Alloc()
-	parent.Comp = 0
 	parent.MinCycle = 10
 	parent.Exec = func(_ *Event, c uint64) uint64 { return c + 40 } // finishes at 50
 
 	child := s.Alloc()
-	child.Comp = 0
 	child.MinCycle = 20 // lower bound is far below the real dispatch
 	child.Delay = 5
 	var childDispatch uint64
@@ -156,20 +145,16 @@ func TestParentChildDelayPropagation(t *testing.T) {
 }
 
 func TestMultipleParentsWaitForAll(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
+	eng := NewEngine()
 	s := NewSlab(16)
 	p1 := s.Alloc()
-	p1.Comp = 0
 	p1.MinCycle = 0
 	p1.Exec = func(_ *Event, c uint64) uint64 { return c + 10 }
 	p2 := s.Alloc()
-	p2.Comp = 1 // different domain
 	p2.MinCycle = 0
 	p2.Exec = func(_ *Event, c uint64) uint64 { return c + 90 }
 
 	child := s.Alloc()
-	child.Comp = 0
 	var dispatch uint64
 	child.Exec = func(_ *Event, c uint64) uint64 { dispatch = c; return c }
 	p1.AddChild(child)
@@ -187,27 +172,22 @@ func TestMultipleParentsWaitForAll(t *testing.T) {
 }
 
 func TestCrossDomainChain(t *testing.T) {
-	// A chain alternating between domains: core -> L3 bank -> memory ->
-	// core, like Figure 4's request-response traffic.
-	eng := NewEngine(4)
-	defer eng.Close()
-	eng.AssignComponent(100, 0) // core
-	eng.AssignComponent(200, 1) // L3 bank
-	eng.AssignComponent(300, 3) // memory controller
+	// A chain crossing components: core -> L3 bank -> memory -> core, like
+	// Figure 4's request-response traffic.
+	eng := NewEngine()
 	s := NewSlab(16)
 
-	mk := func(comp int, min uint64, lat uint64) *Event {
+	mk := func(min uint64, lat uint64) *Event {
 		e := s.Alloc()
-		e.Comp = comp
 		e.MinCycle = min
 		e.Arg = lat
 		e.Exec = func(ev *Event, c uint64) uint64 { return c + ev.Arg }
 		return e
 	}
-	core := mk(100, 30, 0)
-	l3 := mk(200, 80, 20) // contention model adds 20 cycles
-	mem := mk(300, 110, 66)
-	resp := mk(100, 250, 0)
+	core := mk(30, 0)
+	l3 := mk(80, 20) // contention model adds 20 cycles
+	mem := mk(110, 66)
+	resp := mk(250, 0)
 	core.AddChild(l3)
 	l3.AddChild(mem)
 	mem.AddChild(resp)
@@ -236,14 +216,11 @@ func TestCrossDomainChain(t *testing.T) {
 func TestLowerBoundRespected(t *testing.T) {
 	// A child whose MinCycle exceeds parentFinish+Delay dispatches at its
 	// MinCycle (bound phase already guarantees it cannot be earlier).
-	eng := NewEngine(1)
-	defer eng.Close()
+	eng := NewEngine()
 	s := NewSlab(4)
 	p := s.Alloc()
-	p.Comp = 0
 	p.Exec = func(_ *Event, c uint64) uint64 { return c + 1 }
 	ch := s.Alloc()
-	ch.Comp = 0
 	ch.MinCycle = 500
 	var dispatch uint64
 	ch.Exec = func(_ *Event, c uint64) uint64 { dispatch = c; return c }
@@ -255,16 +232,11 @@ func TestLowerBoundRespected(t *testing.T) {
 	}
 }
 
-// TestDeterministicTieBreak checks the deterministic (cycle, sequence)
-// reference order: same-cycle events execute in slab allocation order,
-// regardless of the order they were enqueued in and regardless of which
-// domain their component maps to. Component is deliberately not part of the
-// tie-break — a pure (cycle, sequence) total order is what both the serial
-// and the parallel executors realise (see the package comment).
+// TestDeterministicTieBreak checks the (cycle, sequence) order: same-cycle
+// events execute in slab allocation order, regardless of the order they were
+// enqueued in.
 func TestDeterministicTieBreak(t *testing.T) {
-	eng := NewEngine(2)
-	eng.SetMode(ModeSerial)
-	defer eng.Close()
+	eng := NewEngine()
 	s := NewSlab(16)
 	s.SetSeqBase(100)
 	var order []uint64
@@ -273,12 +245,10 @@ func TestDeterministicTieBreak(t *testing.T) {
 		return c
 	}
 	// Allocation order: seq 100..103. Enqueue deliberately scrambled, with
-	// equal MinCycles and components spread over both domains.
+	// equal MinCycles.
 	evs := make([]*Event, 4)
-	comps := []int{3, 0, 1, 0} // seq 100→comp 3, 101→comp 0, 102→comp 1, 103→comp 0
 	for i := range evs {
 		ev := s.Alloc()
-		ev.Comp = comps[i]
 		ev.MinCycle = 50
 		ev.Exec = record
 		evs[i] = ev
@@ -299,15 +269,13 @@ func TestDeterministicTieBreak(t *testing.T) {
 }
 
 func TestEngineOrderWithinDomain(t *testing.T) {
-	// Events in one domain must execute in dispatch-cycle order (full order
-	// within a domain is what gives the weave phase its accuracy).
-	eng := NewEngine(1)
-	defer eng.Close()
+	// Events must execute in dispatch-cycle order (full order at each
+	// component is what gives the weave phase its accuracy).
+	eng := NewEngine()
 	s := NewSlab(64)
 	var order []uint64
 	for i := 10; i > 0; i-- {
 		ev := s.Alloc()
-		ev.Comp = 0
 		ev.MinCycle = uint64(i * 10)
 		ev.Arg = uint64(i * 10)
 		ev.Exec = func(e *Event, c uint64) uint64 {
@@ -327,53 +295,10 @@ func TestEngineOrderWithinDomain(t *testing.T) {
 	}
 }
 
-func TestManyEventsAcrossDomainsParallel(t *testing.T) {
-	// A larger stress test: per-core chains touching shared components,
-	// executed across 4 domains on the default parallel worker path. Every
-	// event must execute exactly once.
-	eng := NewEngine(4)
-	defer eng.Close()
-	s := NewSlab(1024)
-	var executed atomic.Int64
-	const cores = 16
-	const perCore = 50
-	for c := 0; c < cores; c++ {
-		var prev *Event
-		for i := 0; i < perCore; i++ {
-			ev := s.Alloc()
-			ev.Comp = (c + i) % 8 // spread over 8 components -> 4 domains
-			ev.MinCycle = uint64(i * 10)
-			ev.Exec = func(_ *Event, cy uint64) uint64 {
-				executed.Add(1)
-				return cy + 3
-			}
-			if prev == nil {
-				eng.Enqueue(ev)
-			} else {
-				prev.AddChild(ev)
-			}
-			prev = ev
-		}
-	}
-	eng.Run()
-	if executed.Load() != cores*perCore {
-		t.Fatalf("expected %d executions, got %d", cores*perCore, executed.Load())
-	}
-	// Work should be spread across domains.
-	total := uint64(0)
-	for i := 0; i < eng.NumDomains(); i++ {
-		total += eng.Domain(i).Executed
-	}
-	if total != cores*perCore {
-		t.Fatalf("domain execution counts should sum to the total: %d", total)
-	}
-}
-
 func TestEnginePersistentAcrossIntervals(t *testing.T) {
 	// One engine must serve many intervals back to back, exactly like the
 	// bound-weave loop uses it: build graph, Run, reset slab, repeat.
-	eng := NewEngine(3)
-	defer eng.Close()
+	eng := NewEngine()
 	s := NewSlab(64)
 	var executed atomic.Int64
 	for interval := 0; interval < 50; interval++ {
@@ -381,7 +306,6 @@ func TestEnginePersistentAcrossIntervals(t *testing.T) {
 		var prev *Event
 		for i := 0; i < 12; i++ {
 			ev := s.Alloc()
-			ev.Comp = i % 5
 			ev.MinCycle = uint64(interval*1000 + i*10)
 			ev.Exec = func(_ *Event, c uint64) uint64 {
 				executed.Add(1)
@@ -404,42 +328,8 @@ func TestEnginePersistentAcrossIntervals(t *testing.T) {
 	}
 }
 
-// TestRunAfterClose guards against a deadlock: once Close has torn down the
-// workers, Run must fall back to the inline path instead of signalling
-// goroutines that no longer exist (the worker path is only taken at
-// GOMAXPROCS>1, so this hang would be invisible on single-CPU hosts).
-func TestRunAfterClose(t *testing.T) {
-	eng := NewEngine(4)
-	s := NewSlab(16)
-	ev := s.Alloc()
-	ev.Comp = 0
-	ev.MinCycle = 7
-	eng.Enqueue(ev)
-	if end := eng.Run(); end != 7 {
-		t.Fatalf("first run: %d", end)
-	}
-	eng.Close()
-	eng.Close() // idempotent
-	s.Reset()
-	ev = s.Alloc()
-	ev.Comp = 1
-	ev.MinCycle = 11
-	eng.Enqueue(ev)
-	done := make(chan uint64, 1)
-	go func() { done <- eng.Run() }()
-	select {
-	case end := <-done:
-		if end != 11 || !ev.Finished() {
-			t.Fatalf("run after close should still execute events, got %d", end)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("Run after Close deadlocked")
-	}
-}
-
 func TestRunWithNoEvents(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
+	eng := NewEngine()
 	if end := eng.Run(); end != 0 {
 		t.Fatalf("empty run should return 0, got %d", end)
 	}
@@ -449,8 +339,7 @@ func TestRunWithNoEvents(t *testing.T) {
 // weave hot path: once the slab and the engine's internal buffers have warmed
 // up, building and running an interval's event graph must not allocate.
 func TestEngineRunSteadyStateAllocs(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
+	eng := NewEngine()
 	s := NewSlab(256)
 	buildAndRun := func() {
 		s.Reset()
@@ -458,7 +347,6 @@ func TestEngineRunSteadyStateAllocs(t *testing.T) {
 			var prev *Event
 			for i := 0; i < 16; i++ {
 				ev := s.Alloc()
-				ev.Comp = (c + i) % 4
 				ev.MinCycle = uint64(i * 10)
 				ev.Arg = 3
 				ev.Exec = sharedExec
@@ -486,38 +374,10 @@ func TestEngineRunSteadyStateAllocs(t *testing.T) {
 
 func sharedExec(ev *Event, c uint64) uint64 { return c + ev.Arg }
 
-func TestDomainOfDefaultMapping(t *testing.T) {
-	eng := NewEngine(4)
-	defer eng.Close()
-	if eng.DomainOf(7) != 3 || eng.DomainOf(8) != 0 {
-		t.Fatalf("default component-to-domain mapping should be modulo")
-	}
-	eng.AssignComponent(7, 1)
-	if eng.DomainOf(7) != 1 {
-		t.Fatalf("explicit assignment should win")
-	}
-	// Sparse assignment leaves the gap components on the default mapping.
-	eng.AssignComponent(3, 2)
-	if eng.DomainOf(3) != 2 || eng.DomainOf(5) != 1 || eng.DomainOf(6) != 2 {
-		t.Fatalf("unassigned components should keep the modulo mapping")
-	}
-	if eng.DomainOf(-3) < 0 || eng.DomainOf(-3) >= 4 {
-		t.Fatalf("negative component IDs must still map to a valid domain")
-	}
-	// Engine with zero requested domains clamps to one.
-	one := NewEngine(0)
-	defer one.Close()
-	if one.NumDomains() != 1 {
-		t.Fatalf("engine should have at least one domain")
-	}
-}
-
 func TestNilExecFinishesInstantly(t *testing.T) {
-	eng := NewEngine(1)
-	defer eng.Close()
+	eng := NewEngine()
 	s := NewSlab(4)
 	ev := s.Alloc()
-	ev.Comp = 0
 	ev.MinCycle = 42
 	eng.Enqueue(ev)
 	end := eng.Run()
@@ -530,25 +390,19 @@ func TestNilExecFinishesInstantly(t *testing.T) {
 // event executes exactly once, finish cycles are monotone along each chain,
 // and no event finishes before its lower bound.
 func TestEventChainProperties(t *testing.T) {
-	f := func(latsRaw []uint8, domainsRaw uint8) bool {
+	f := func(latsRaw []uint8) bool {
 		if len(latsRaw) == 0 {
 			return true
 		}
 		if len(latsRaw) > 64 {
 			latsRaw = latsRaw[:64]
 		}
-		nd := int(domainsRaw%6) + 1
-		eng := NewEngine(nd)
-		if latsRaw[0]&1 == 0 { // exercise both modes
-			eng.SetMode(ModeSerial)
-		}
-		defer eng.Close()
+		eng := NewEngine()
 		s := NewSlab(128)
 		var chain []*Event
 		var prev *Event
 		for i, l := range latsRaw {
 			ev := s.Alloc()
-			ev.Comp = i % (nd * 2)
 			ev.MinCycle = uint64(i)
 			ev.Arg = uint64(l % 50)
 			ev.Exec = sharedExec
@@ -581,192 +435,164 @@ func TestEventChainProperties(t *testing.T) {
 	}
 }
 
-// TestParallelDomainPanicContained pins down the domain-abort protocol: when
-// a domain worker's executor panics in the parallel weave path, sibling
-// domains parked on a horizon that will now never advance must be woken and
-// released (not left parked forever, which would also hang the pool's
-// WaitGroup), and the capture must be re-raised on the orchestrating
-// goroutine.
-func TestParallelDomainPanicContained(t *testing.T) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		t.Skip("parallel domain workers need GOMAXPROCS > 1")
-	}
-	eng := NewEngine(2)
-	defer eng.Close()
+// TestAddChildRejectsCreationOrderViolation checks that an edge from a later
+// event to an earlier one is refused when it is declared: the engine's
+// ordering argument needs every parent's sequence below its child's.
+func TestAddChildRejectsCreationOrderViolation(t *testing.T) {
 	s := NewSlab(16)
-
-	// The parent lives in domain 0 and panics; its child lives in domain 1,
-	// whose worker therefore parks waiting for a handoff that never comes.
-	parent := s.Alloc()
-	parent.Comp = 0
-	parent.MinCycle = 10
-	parent.Exec = func(_ *Event, c uint64) uint64 { panic("weave fault") }
-	child := s.Alloc()
-	child.Comp = 1
-	parent.AddChild(child)
-	eng.Enqueue(parent)
-
-	done := make(chan interface{}, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		eng.Run()
-		done <- nil
+	early, late := s.Alloc(), s.Alloc()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddChild from a later event to an earlier one did not panic")
+		}
+		if late.NumChildren() != 0 {
+			t.Fatal("the refused edge was recorded")
+		}
 	}()
-	select {
-	case r := <-done:
-		pe, ok := r.(*runctl.PanicError)
-		if !ok {
-			t.Fatalf("Run should re-raise a *runctl.PanicError, got %T (%v)", r, r)
-		}
-		if pe.Value != "weave fault" {
-			t.Fatalf("capture lost the panic value: %v", pe.Value)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("panicking domain worker left the engine hung")
-	}
+	late.AddChild(early)
 }
 
-// buildContendedGraph builds a reproducible multi-chain graph whose executors
-// model per-component contention (each component is a serially reusable port:
-// an access occupies it for Arg cycles, so finish cycles depend on the exact
-// per-component execution order). It returns the chains so callers can
-// compare finish cycles across engines.
-func buildContendedGraph(eng *Engine, s *Slab, busy []uint64) [][]*Event {
-	const cores = 8
-	const perCore = 24
-	chains := make([][]*Event, cores)
-	rng := uint64(0x9e3779b97f4a7c15)
-	for c := 0; c < cores; c++ {
-		s.SetSeqBase(uint64(c) << 32)
-		var prev *Event
-		for i := 0; i < perCore; i++ {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			ev := s.Alloc()
-			ev.Comp = int(rng>>33) % 8
-			ev.MinCycle = uint64(c*3 + i*11)
-			ev.Arg = uint64(ev.Comp)
-			ev.Ctx = busy
-			ev.Exec = portExec
-			if prev == nil {
-				eng.Enqueue(ev)
-			} else {
-				prev.AddChild(ev)
-			}
-			chains[c] = append(chains[c], ev)
-			prev = ev
-		}
+// randomDAG builds a random event graph over per-core slabs (disjoint
+// sequence bases, like the bound phase's). Every event draws up to three
+// parents among the events created before it with a lower sequence number,
+// a random lower bound, parent delay and latency, and one of four
+// components. exec is every event's executor. It returns the graph's events
+// in creation order and each event's parents.
+func randomDAG(rng *rand.Rand, n int, exec Executor) (all []*Event, parents map[*Event][]*Event) {
+	parents = make(map[*Event][]*Event)
+	slabs := make([]*Slab, 4)
+	for c := range slabs {
+		slabs[c] = NewSlab(64)
+		slabs[c].SetSeqBase(uint64(c) << 32)
 	}
-	return chains
-}
-
-// portExec models a pipelined single-port component: the access waits for the
-// port to free, then occupies it for 4 cycles. Stateful per component, so
-// results depend on per-component execution order.
-func portExec(ev *Event, c uint64) uint64 {
-	busy := ev.Ctx.([]uint64)
-	start := c
-	if busy[ev.Arg] > start {
-		start = busy[ev.Arg]
-	}
-	fin := start + 4
-	busy[ev.Arg] = fin
-	return fin
-}
-
-// TestParallelMatchesSerialReference is the engine-level bit-identity gate:
-// the default parallel mode (pre-created events, committed horizons) must
-// produce exactly the serial reference's finish cycle for every event of a
-// contended multi-chain graph, across domain counts and with real concurrent
-// workers.
-func TestParallelMatchesSerialReference(t *testing.T) {
-	ref := func() [][]*Event {
-		eng := NewEngine(1)
-		eng.SetMode(ModeSerial)
-		defer eng.Close()
-		s := NewSlab(256)
-		busy := make([]uint64, 8)
-		chains := buildContendedGraph(eng, s, busy)
-		eng.Run()
-		return chains
-	}()
-
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, nd := range []int{1, 2, 4} {
-		eng := NewEngine(nd)
-		s := NewSlab(256)
-		busy := make([]uint64, 8)
-		chains := buildContendedGraph(eng, s, busy)
-		eng.Run()
-		for c := range chains {
-			for i, ev := range chains[c] {
-				want := ref[c][i]
-				if !ev.Finished() {
-					t.Fatalf("domains=%d: chain %d event %d did not finish", nd, c, i)
-				}
-				if ev.FinishCycle() != want.FinishCycle() {
-					t.Fatalf("domains=%d: chain %d event %d finish=%d, serial reference=%d",
-						nd, c, i, ev.FinishCycle(), want.FinishCycle())
-				}
+	for i := 0; i < n; i++ {
+		ev := slabs[rng.Intn(len(slabs))].Alloc()
+		ev.MinCycle = uint64(rng.Intn(400))
+		ev.Delay = uint64(rng.Intn(4))
+		ev.Arg = uint64(rng.Intn(30))
+		ev.Flag = rng.Intn(2) == 0
+		ev.Ctx = rng.Intn(4)
+		ev.Exec = exec
+		for k := rng.Intn(4); k > 0 && len(all) > 0; k-- {
+			if p := all[rng.Intn(len(all))]; p.Seq() < ev.Seq() {
+				p.AddChild(ev)
+				parents[ev] = append(parents[ev], p)
 			}
 		}
-		eng.Close()
+		all = append(all, ev)
 	}
+	return all, parents
 }
 
-// TestParallelPerComponentOrder pins the parallel mode's ordering contract:
-// each component sees its events in (final dispatch cycle, sequence) order —
-// the pure function of the bound phase that makes parallel results
-// bit-identical to the serial reference.
-func TestParallelPerComponentOrder(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	eng := NewEngine(4)
-	defer eng.Close()
-	s := NewSlab(256)
-	const comps = 8
-	type rec struct {
-		cycle uint64
-		seq   uint64
-	}
-	var mu [comps]sync.Mutex
-	orders := make([][]rec, comps)
-	record := func(ev *Event, c uint64) uint64 {
-		mu[ev.Comp].Lock()
-		orders[ev.Comp] = append(orders[ev.Comp], rec{c, ev.Seq()})
-		mu[ev.Comp].Unlock()
-		return c + ev.Arg
-	}
-	for core := 0; core < 8; core++ {
-		s.SetSeqBase(uint64(core) << 32)
-		var prevEv *Event
-		for i := 0; i < 20; i++ {
-			ev := s.Alloc()
-			ev.Comp = (core + i) % comps
-			ev.MinCycle = uint64(i * 5)
-			ev.Arg = uint64(core%3) + 1
-			ev.Exec = record
-			if prevEv == nil {
-				eng.Enqueue(ev)
-			} else {
-				prevEv.AddChild(ev)
-			}
-			prevEv = ev
+// runGraph enqueues every root of the graph on a fresh engine and runs it.
+func runGraph(all []*Event) {
+	eng := NewEngine()
+	for _, ev := range all {
+		if ev.Parentless() {
+			eng.Enqueue(ev)
 		}
 	}
 	eng.Run()
-	total := 0
-	for comp, seen := range orders {
-		total += len(seen)
-		for i := 1; i < len(seen); i++ {
-			a, b := seen[i-1], seen[i]
-			if a.cycle > b.cycle || (a.cycle == b.cycle && a.seq > b.seq) {
-				t.Fatalf("comp %d executed out of (cycle, seq) order: (%d,%d) before (%d,%d)",
-					comp, a.cycle, a.seq, b.cycle, b.seq)
+}
+
+// TestEngineMatchesReferenceOrder checks the engine against brute-force
+// references on random graphs, including many same-cycle ties:
+//
+//   - with fixed latencies (finish = dispatch + Arg), every event's final
+//     dispatch cycle is computed by fixpoint over the graph, independent of
+//     any execution order, and the engine must pop events in exactly the
+//     sorted (dispatch, seq) order;
+//   - with stateful per-component ports (the shape of the real contention
+//     models), a quadratic reference that repeatedly executes the ready event
+//     with the smallest (ready cycle, seq) must reproduce every finish cycle.
+func TestEngineMatchesReferenceOrder(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(300)
+
+		// Fixed latencies: the dispatch fixpoint.
+		type popped struct{ cycle, seq uint64 }
+		var got []popped
+		record := func(ev *Event, c uint64) uint64 {
+			got = append(got, popped{c, ev.Seq()})
+			return c + ev.Arg
+		}
+		all, parents := randomDAG(rng, n, record)
+		dispatch := make(map[*Event]uint64)
+		for changed := true; changed; {
+			changed = false
+			for _, ev := range all {
+				d := ev.MinCycle
+				for _, p := range parents[ev] {
+					if r := dispatch[p] + p.Arg + ev.Delay; r > d {
+						d = r
+					}
+				}
+				if dispatch[ev] != d {
+					dispatch[ev], changed = d, true
+				}
 			}
 		}
-	}
-	if total != 8*20 {
-		t.Fatalf("expected %d executions, got %d", 8*20, total)
+		want := make([]popped, len(all))
+		for i, ev := range all {
+			want[i] = popped{dispatch[ev], ev.Seq()}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].cycle < want[j].cycle || want[i].cycle == want[j].cycle && want[i].seq < want[j].seq
+		})
+		runGraph(all)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: pop order diverged from the (dispatch, seq) reference\n got: %v\nwant: %v", seed, got, want)
+		}
+
+		// Stateful ports: the quadratic ready-set reference.
+		var busy [4]uint64
+		port := func(ev *Event, c uint64) uint64 {
+			b := &busy[ev.Ctx.(int)]
+			start := max(c, *b)
+			*b = start + ev.Arg
+			if ev.Flag { // a pipelined hit frees the port early
+				*b = start + 1
+			}
+			return start + ev.Arg
+		}
+		all, parents = randomDAG(rand.New(rand.NewSource(seed)), n, port)
+		runGraph(all)
+		engFinish := make([]uint64, len(all))
+		for i, ev := range all {
+			if !ev.Finished() {
+				t.Fatalf("seed %d: event %d never ran", seed, ev.Seq())
+			}
+			engFinish[i] = ev.FinishCycle()
+		}
+		busy = [4]uint64{}
+		finish := make(map[*Event]uint64)
+		for len(finish) < len(all) {
+			var best *Event
+			var bestReady uint64
+			for _, ev := range all {
+				if _, ok := finish[ev]; ok {
+					continue
+				}
+				ready, ok := ev.MinCycle, true
+				for _, p := range parents[ev] {
+					f, done := finish[p]
+					if !done {
+						ok = false
+						break
+					}
+					ready = max(ready, f+ev.Delay)
+				}
+				if ok && (best == nil || ready < bestReady || ready == bestReady && ev.Seq() < best.Seq()) {
+					best, bestReady = ev, ready
+				}
+			}
+			finish[best] = max(bestReady, port(best, bestReady))
+		}
+		for i, ev := range all {
+			if engFinish[i] != finish[ev] {
+				t.Fatalf("seed %d: event %d finished at %d, reference %d", seed, ev.Seq(), engFinish[i], finish[ev])
+			}
+		}
 	}
 }

@@ -454,9 +454,14 @@ func (s *Server) runJob(j *job) {
 
 	j.mu.Lock()
 	if j.cancelled {
+		// Only this worker moves a dequeued job out of StateQueued, so the
+		// job can be counted with the lock dropped and then published.
+		j.mu.Unlock()
+		s.metrics.jobDone(StateCancelled, shapeLabel(0), 0, false, false)
+		result := &JobResult{Error: "cancelled before start", Failure: &Failure{Reason: runctl.ReasonCancelled.String()}}
+		j.mu.Lock()
 		j.state = StateCancelled
 		j.finished = time.Now().UTC()
-		result := &JobResult{Error: "cancelled before start", Failure: &Failure{Reason: runctl.ReasonCancelled.String()}}
 		j.result = result
 		j.mu.Unlock()
 		s.audit.record("finish", j.id, StateCancelled, "cancelled while queued")
@@ -475,6 +480,8 @@ func (s *Server) runJob(j *job) {
 	res, reused, shape, err := s.execute(ctx, j)
 	result, state := classify(res, err)
 	result.Reused = reused
+	dur := time.Since(started)
+	s.metrics.jobDone(state, shapeLabel(shape), dur, reused, true)
 
 	j.mu.Lock()
 	j.state = state
@@ -482,8 +489,6 @@ func (s *Server) runJob(j *job) {
 	j.cancel = nil
 	j.result = result
 	j.mu.Unlock()
-	dur := time.Since(started)
-	s.metrics.jobDone(state, shapeLabel(shape), dur, reused)
 	detail := result.Error
 	if reused {
 		detail = "reused=true"

@@ -8,18 +8,12 @@ import (
 )
 
 // TraceSink collects bounded Chrome trace-event slices from a run for loading
-// into Perfetto (chrome://tracing JSON array format). The simulation side
-// calls Add from whatever goroutine executes the slice — bound/weave phase
-// slices from the driver, per-domain execution and stall slices from weave
-// workers — and the sink assigns each slot with a single atomic increment, so
-// recording is lock-free and allocation-free after construction. Once the
-// fixed capacity is exhausted further events are counted as dropped rather
-// than grown: a runaway run can never turn the trace into a memory leak.
-//
-// Tracks (tid values in the export):
-//
-//	0        the driver's phase track (bound/weave slices per interval)
-//	1+d      weave domain d's track (event execution and horizon-stall slices)
+// into Perfetto (chrome://tracing JSON array format): one bound and one
+// weave slice per interval, on a single "phases" track (tid 0). Add assigns
+// each slot with a single atomic increment, so recording is lock-free and
+// allocation-free after construction. Once the fixed capacity is exhausted
+// further events are counted as dropped rather than grown: a runaway run can
+// never turn the trace into a memory leak.
 type TraceSink struct {
 	events  []traceEvent
 	next    atomic.Int64
@@ -27,19 +21,11 @@ type TraceSink struct {
 }
 
 type traceEvent struct {
-	track    int32
 	name     string
 	startUS  int64 // microseconds since Unix epoch (Chrome "ts" clock)
 	durUS    int64
-	interval uint64 // slice argument: interval number or event count
+	interval uint64 // slice argument: the interval number
 }
-
-// Track identifiers for Add. TrackPhases is the driver's bound/weave track;
-// TrackDomain(d) is weave domain d's track.
-const TrackPhases int32 = 0
-
-// TrackDomain returns the track id for weave domain d.
-func TrackDomain(d int) int32 { return int32(1 + d) }
 
 // MaxTraceEvents is the default (and maximum) sink capacity.
 const MaxTraceEvents = 1 << 16
@@ -53,11 +39,10 @@ func NewTraceSink(capacity int) *TraceSink {
 	return &TraceSink{events: make([]traceEvent, capacity)}
 }
 
-// Add records one complete slice on a track. name must be a static string
-// (it is stored, not copied). arg lands in the event's args block — the
-// interval number for phase slices, the executed-event count for domain
-// slices. Nil-safe; drops (and counts) events past capacity.
-func (t *TraceSink) Add(track int32, name string, start time.Time, dur time.Duration, arg uint64) {
+// Add records one complete slice. name must be a static string (it is
+// stored, not copied). arg, the interval number, lands in the event's args
+// block. Nil-safe; drops (and counts) events past capacity.
+func (t *TraceSink) Add(name string, start time.Time, dur time.Duration, arg uint64) {
 	if t == nil {
 		return
 	}
@@ -67,7 +52,6 @@ func (t *TraceSink) Add(track int32, name string, start time.Time, dur time.Dura
 		return
 	}
 	t.events[i] = traceEvent{
-		track:    track,
 		name:     name,
 		startUS:  start.UnixMicro(),
 		durUS:    int64(dur / time.Microsecond),
@@ -105,19 +89,12 @@ func (t *TraceSink) Reset() {
 }
 
 // WriteJSON emits the trace as a Chrome trace-event JSON array: one "M"
-// (metadata) event naming each track, then one "X" (complete) event per
+// (metadata) event naming the track, then one "X" (complete) event per
 // slice. The output loads directly in Perfetto / chrome://tracing. Call
 // after the run finishes (concurrent Add during WriteJSON may be missed,
 // never corrupts).
 func (t *TraceSink) WriteJSON(w io.Writer) error {
 	n := t.Len()
-	// Collect the set of tracks present so each gets a thread_name record.
-	maxTrack := int32(0)
-	for i := 0; i < n; i++ {
-		if t.events[i].track > maxTrack {
-			maxTrack = t.events[i].track
-		}
-	}
 	if _, err := io.WriteString(w, "[\n"); err != nil {
 		return err
 	}
@@ -132,19 +109,13 @@ func (t *TraceSink) WriteJSON(w io.Writer) error {
 		_, err := fmt.Fprintf(w, format, args...)
 		return err
 	}
-	for tr := int32(0); tr <= maxTrack; tr++ {
-		name := "phases"
-		if tr > 0 {
-			name = fmt.Sprintf("domain %d", tr-1)
-		}
-		if err := emit(`{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tr, name); err != nil {
-			return err
-		}
+	if err := emit(`{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"phases"}}`); err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		ev := &t.events[i]
-		if err := emit(`{"ph":"X","pid":1,"tid":%d,"name":%q,"ts":%d,"dur":%d,"args":{"n":%d}}`,
-			ev.track, ev.name, ev.startUS, ev.durUS, ev.interval); err != nil {
+		if err := emit(`{"ph":"X","pid":1,"tid":0,"name":%q,"ts":%d,"dur":%d,"args":{"n":%d}}`,
+			ev.name, ev.startUS, ev.durUS, ev.interval); err != nil {
 			return err
 		}
 	}

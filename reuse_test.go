@@ -2,8 +2,8 @@ package zsim
 
 // Warm-simulator reuse tests: a reusable Simulator that is Reset between
 // runs must be indistinguishable — bit-identical simulated results — from a
-// freshly constructed one, across weave modes, NoC contention on/off, host
-// parallelism levels, and after aborted (cancelled / cycle-limited) runs.
+// freshly constructed one, across bound-phase host threads, NoC contention
+// on/off, GOMAXPROCS, and after aborted (cancelled / cycle-limited) runs.
 // Panicked runs are the exception: Reset must refuse them.
 
 import (
@@ -18,15 +18,15 @@ import (
 )
 
 // reuseCfg returns a small contention-enabled configuration for the given
-// weave mode and NoC setting. Each call returns a fresh copy (Validate and
+// bound-phase host thread count and NoC setting. Each call returns a fresh copy (Validate and
 // the facade mutate configs in place). Like the boundweave determinism
 // tests, the L3 gets generous associativity so the disjoint per-process
 // footprints never force an eviction whose victim choice could depend on
 // bound-phase arrival order.
-func reuseCfg(mode WeaveMode, noc bool) *Config {
+func reuseCfg(hostThreads int, noc bool) *Config {
 	cfg := SmallConfig()
 	cfg.Contention = true
-	cfg.WeaveModeKind = mode
+	cfg.HostThreads = hostThreads
 	cfg.L3.SizeKB = 4096
 	cfg.L3.Ways = 32
 	if noc {
@@ -60,7 +60,6 @@ func reuseRun(t *testing.T, sim *Simulator, ctx context.Context, blocks int) (*R
 		p.BlockedSyscallCycles = 2500
 		sim.AddPinnedWorkload(fmt.Sprintf("proc-%d", i), p, 1, []int{i % 4})
 	}
-	sim.SetHostThreads(4)
 	sim.SetSeed(99)
 	if ctx == nil {
 		ctx = context.Background()
@@ -94,20 +93,21 @@ func requireIdentical(t *testing.T, stage string, want, got *Result) {
 }
 
 // TestReuseBitIdentityMatrix is the fresh-vs-reused identity matrix:
-// GOMAXPROCS {1,4} x weave mode {serial,parallel} x NoC {off,on}, with the
+// GOMAXPROCS {1,4} x bound-phase host threads {1 ("serial"), 4 ("parallel")}
+// x NoC {off,on}, with the
 // reused simulator exercised after a clean run, after a cycle-limit abort,
 // and after a cancellation — every subsequent clean run must match the fresh
 // baseline exactly.
 func TestReuseBitIdentityMatrix(t *testing.T) {
 	modes := []struct {
 		name string
-		mode WeaveMode
+		host int
 		noc  bool
 	}{
-		{"serial", WeaveSerial, false},
-		{"parallel", WeaveParallel, false},
-		{"serial-noc", WeaveSerial, true},
-		{"parallel-noc", WeaveParallel, true},
+		{"serial", 1, false},
+		{"parallel", 4, false},
+		{"serial-noc", 1, true},
+		{"parallel-noc", 4, true},
 	}
 	for _, gmp := range []int{1, 4} {
 		for _, m := range modes {
@@ -115,7 +115,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
 
 				// Fresh baseline: ordinary single-use simulator.
-				fresh, err := New(reuseCfg(m.mode, m.noc))
+				fresh, err := New(reuseCfg(m.host, m.noc))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +125,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				}
 
 				// Reusable simulator, run 1: must match fresh.
-				sim, err := New(reuseCfg(m.mode, m.noc))
+				sim, err := New(reuseCfg(m.host, m.noc))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +148,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				requireIdentical(t, "after clean run", want, got)
 
 				// Reset into a cycle-limited abort, then Reset back to clean.
-				limited := reuseCfg(m.mode, m.noc)
+				limited := reuseCfg(m.host, m.noc)
 				limited.MaxCycles = 3000
 				if err := sim.Reset(limited); err != nil {
 					t.Fatalf("Reset to limited cfg: %v", err)
@@ -161,7 +161,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 						t.Fatalf("cycle-limited run: %v", err)
 					}
 				}
-				if err := sim.Reset(reuseCfg(m.mode, m.noc)); err != nil {
+				if err := sim.Reset(reuseCfg(m.host, m.noc)); err != nil {
 					t.Fatalf("Reset after cycle-limit abort: %v", err)
 				}
 				got, err = reuseRun(t, sim, nil, 300)
@@ -215,7 +215,7 @@ func (p *panicObserver) ObserveAccess(lineAddr uint64, write bool, coreID int, c
 // panicked simulator, and (c) a replacement fresh simulator to still produce
 // the baseline results — the discard-and-rebuild path the serve pool uses.
 func TestReuseRefusedAfterPanic(t *testing.T) {
-	fresh, err := New(reuseCfg(WeaveParallel, false))
+	fresh, err := New(reuseCfg(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestReuseRefusedAfterPanic(t *testing.T) {
 		t.Fatalf("fresh run: %v", err)
 	}
 
-	sim, err := New(reuseCfg(WeaveParallel, false))
+	sim, err := New(reuseCfg(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestReuseRefusedAfterPanic(t *testing.T) {
 		t.Fatalf("Reset must refuse a panicked simulator")
 	}
 
-	replacement, err := New(reuseCfg(WeaveParallel, false))
+	replacement, err := New(reuseCfg(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestReuseRefusedAfterPanic(t *testing.T) {
 // simulators refuse Reset, and a shape-changing configuration is rejected
 // while a run-variable-only change is accepted.
 func TestReuseShapeKeyGuards(t *testing.T) {
-	plain, err := New(reuseCfg(WeaveParallel, false))
+	plain, err := New(reuseCfg(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 		t.Fatalf("Reset on a non-reusable simulator must fail")
 	}
 
-	sim, err := New(reuseCfg(WeaveParallel, false))
+	sim, err := New(reuseCfg(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +273,13 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := reuseCfg(WeaveParallel, false)
+	other := reuseCfg(4, false)
 	other.NumCores = 8
 	if err := sim.Reset(other); err == nil {
 		t.Fatalf("shape-changing Reset must fail")
 	}
 
-	same := reuseCfg(WeaveParallel, false)
+	same := reuseCfg(4, false)
 	same.Name = "renamed"
 	same.MaxCycles = 1 << 40
 	if err := sim.Reset(same); err != nil {
@@ -288,7 +288,7 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 
 	// The shape key itself: insensitive to run-variable fields, sensitive to
 	// construction shape.
-	a, b := reuseCfg(WeaveParallel, false), reuseCfg(WeaveParallel, false)
+	a, b := reuseCfg(4, false), reuseCfg(4, false)
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 // arena chunks — the construction and per-run arenas serve every subsequent
 // run from retained memory.
 func TestReuseArenaFootprintFlat(t *testing.T) {
-	sim, err := New(reuseCfg(WeaveParallel, true))
+	sim, err := New(reuseCfg(4, true))
 	if err != nil {
 		t.Fatal(err)
 	}

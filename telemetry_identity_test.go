@@ -4,24 +4,38 @@ package zsim
 // cardinal rule is that observation never changes simulation results. A
 // fixed-seed run with a trace sink attached and its probe scraped continuously
 // from another goroutine must produce bit-identical simulated metrics to an
-// unobserved run.
+// unobserved run. The runs use two bound-phase host threads, so the workload
+// stays inside the determinism envelope of DESIGN.md ("Determinism model"):
+// single-thread processes in disjoint address-space slices, each pinned to
+// its own core, with an L3 large enough that it never evicts. Outside it,
+// two plain runs on two host threads could already differ in cycles.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
 
 func identityRun(t *testing.T, observe bool) (*Result, *Simulator, *TraceSink) {
 	t.Helper()
-	sim, err := New(SmallConfig())
+	cfg := SmallConfig()
+	cfg.L3.SizeKB = 4096
+	cfg.L3.Ways = 32
+	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultWorkloadParams()
-	params.BlocksPerThread = 4000 // long enough that the scraper observes mid-run snapshots
-	sim.AddWorkload("ident", params, 4)
+	for i := 0; i < 4; i++ {
+		params := DefaultWorkloadParams()
+		params.BlocksPerThread = 4000 // long enough that the scraper observes mid-run snapshots
+		params.Seed = uint64(100 + i)
+		params.AddrSpace = uint64(i + 1)
+		params.SharedFraction = 0
+		params.WorkingSet = 64 << 10
+		sim.AddPinnedWorkload(fmt.Sprintf("ident-%d", i), params, 1, []int{i})
+	}
 	sim.SetHostThreads(2)
 	sim.SetSeed(11)
 
