@@ -295,6 +295,49 @@ func TestEngineOrderWithinDomain(t *testing.T) {
 	}
 }
 
+func TestManyEventsAcrossDomainsParallel(t *testing.T) {
+	// A larger stress test: per-core chains touching shared components, all
+	// on one engine. Every event must execute exactly once, and Run must
+	// return the largest finish cycle.
+	eng := NewEngine()
+	s := NewSlab(1024)
+	runs := make(map[*Event]int)
+	const cores = 16
+	const perCore = 50
+	for c := 0; c < cores; c++ {
+		var prev *Event
+		for i := 0; i < perCore; i++ {
+			ev := s.Alloc()
+			ev.Ctx = (c + i) % 8 // the component, shared across chains
+			ev.MinCycle = uint64(i * 10)
+			ev.Exec = func(e *Event, cy uint64) uint64 {
+				runs[e]++
+				return cy + 3
+			}
+			if prev == nil {
+				eng.Enqueue(ev)
+			} else {
+				prev.AddChild(ev)
+			}
+			prev = ev
+		}
+	}
+	end := eng.Run()
+	if len(runs) != cores*perCore {
+		t.Fatalf("expected %d events to execute, got %d", cores*perCore, len(runs))
+	}
+	var last uint64
+	for ev, n := range runs {
+		if n != 1 {
+			t.Fatalf("event %d executed %d times", ev.Seq(), n)
+		}
+		last = max(last, ev.FinishCycle())
+	}
+	if end != last {
+		t.Fatalf("Run returned %d, want the last finish cycle %d", end, last)
+	}
+}
+
 func TestEnginePersistentAcrossIntervals(t *testing.T) {
 	// One engine must serve many intervals back to back, exactly like the
 	// bound-weave loop uses it: build graph, Run, reset slab, repeat.
@@ -566,33 +609,167 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 			engFinish[i] = ev.FinishCycle()
 		}
 		busy = [4]uint64{}
-		finish := make(map[*Event]uint64)
-		for len(finish) < len(all) {
-			var best *Event
-			var bestReady uint64
-			for _, ev := range all {
-				if _, ok := finish[ev]; ok {
-					continue
-				}
-				ready, ok := ev.MinCycle, true
-				for _, p := range parents[ev] {
-					f, done := finish[p]
-					if !done {
-						ok = false
-						break
-					}
-					ready = max(ready, f+ev.Delay)
-				}
-				if ok && (best == nil || ready < bestReady || ready == bestReady && ev.Seq() < best.Seq()) {
-					best, bestReady = ev, ready
-				}
-			}
-			finish[best] = max(bestReady, port(best, bestReady))
-		}
+		finish := serialReference(all, parents, port)
 		for i, ev := range all {
 			if engFinish[i] != finish[ev] {
 				t.Fatalf("seed %d: event %d finished at %d, reference %d", seed, ev.Seq(), engFinish[i], finish[ev])
 			}
 		}
+	}
+}
+
+// serialReference computes every event's finish cycle by brute force: it
+// repeatedly executes, with exec, the ready event with the smallest (ready
+// cycle, seq), where an event is ready once all its parents have finished.
+// all must hold the whole graph; parents maps each event to its parents.
+func serialReference(all []*Event, parents map[*Event][]*Event, exec Executor) map[*Event]uint64 {
+	finish := make(map[*Event]uint64)
+	for len(finish) < len(all) {
+		var best *Event
+		var bestReady uint64
+		for _, ev := range all {
+			if _, ok := finish[ev]; ok {
+				continue
+			}
+			ready, ok := ev.MinCycle, true
+			for _, p := range parents[ev] {
+				f, done := finish[p]
+				if !done {
+					ok = false
+					break
+				}
+				ready = max(ready, f+ev.Delay)
+			}
+			if ok && (best == nil || ready < bestReady || ready == bestReady && ev.Seq() < best.Seq()) {
+				best, bestReady = ev, ready
+			}
+		}
+		finish[best] = max(bestReady, exec(best, bestReady))
+	}
+	return finish
+}
+
+// buildContendedGraph builds a reproducible multi-chain graph whose executors
+// model per-component contention (each component is a serially reusable
+// port, see portExec), so finish cycles depend on the exact per-component
+// execution order. It enqueues the chain heads on eng and returns the events
+// in creation order with each event's parents.
+func buildContendedGraph(eng *Engine, busy []uint64) (all []*Event, parents map[*Event][]*Event) {
+	const cores = 8
+	const perCore = 24
+	parents = make(map[*Event][]*Event)
+	rng := uint64(0x9e3779b97f4a7c15)
+	for c := 0; c < cores; c++ {
+		s := NewSlab(perCore)
+		s.SetSeqBase(uint64(c) << 32)
+		var prev *Event
+		for i := 0; i < perCore; i++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			ev := s.Alloc()
+			ev.MinCycle = uint64(c*3 + i*11)
+			ev.Arg = (rng >> 33) % uint64(len(busy)) // the component
+			ev.Ctx = busy
+			ev.Exec = portExec
+			if prev == nil {
+				eng.Enqueue(ev)
+			} else {
+				prev.AddChild(ev)
+				parents[ev] = []*Event{prev}
+			}
+			all = append(all, ev)
+			prev = ev
+		}
+	}
+	return all, parents
+}
+
+// portExec models a pipelined single-port component: the access waits for the
+// port to free, then occupies it for 4 cycles. Stateful per component, so
+// results depend on per-component execution order.
+func portExec(ev *Event, c uint64) uint64 {
+	busy := ev.Ctx.([]uint64)
+	start := max(c, busy[ev.Arg])
+	busy[ev.Arg] = start + 4
+	return start + 4
+}
+
+// TestParallelMatchesSerialReference is the engine-level bit-identity gate:
+// on a contended multi-chain graph the engine must produce exactly the
+// serial brute-force reference's finish cycle for every event, and two
+// engines run on the same graph must agree with each other.
+func TestParallelMatchesSerialReference(t *testing.T) {
+	var runs [2][]uint64
+	for r := range runs {
+		eng := NewEngine()
+		busy := make([]uint64, 8)
+		all, parents := buildContendedGraph(eng, busy)
+		eng.Run()
+		for i, ev := range all {
+			if !ev.Finished() {
+				t.Fatalf("run %d: event %d did not finish", r, i)
+			}
+			runs[r] = append(runs[r], ev.FinishCycle())
+		}
+		clear(busy)
+		want := serialReference(all, parents, portExec)
+		for i, ev := range all {
+			if runs[r][i] != want[ev] {
+				t.Fatalf("run %d: event %d finish=%d, serial reference=%d", r, i, runs[r][i], want[ev])
+			}
+		}
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("two engines disagree on the same graph")
+	}
+}
+
+// TestParallelPerComponentOrder pins the engine's ordering contract: each
+// component sees its events in (final dispatch cycle, sequence) order, the
+// pure function of the bound phase that makes weave results reproducible.
+func TestParallelPerComponentOrder(t *testing.T) {
+	eng := NewEngine()
+	const comps = 8
+	type rec struct {
+		cycle uint64
+		seq   uint64
+	}
+	orders := make([][]rec, comps)
+	record := func(ev *Event, c uint64) uint64 {
+		comp := ev.Ctx.(int)
+		orders[comp] = append(orders[comp], rec{c, ev.Seq()})
+		return c + ev.Arg
+	}
+	for core := 0; core < 8; core++ {
+		s := NewSlab(20)
+		s.SetSeqBase(uint64(core) << 32)
+		var prevEv *Event
+		for i := 0; i < 20; i++ {
+			ev := s.Alloc()
+			ev.Ctx = (core + i) % comps // the component
+			ev.MinCycle = uint64(i * 5)
+			ev.Arg = uint64(core%3) + 1
+			ev.Exec = record
+			if prevEv == nil {
+				eng.Enqueue(ev)
+			} else {
+				prevEv.AddChild(ev)
+			}
+			prevEv = ev
+		}
+	}
+	eng.Run()
+	total := 0
+	for comp, seen := range orders {
+		total += len(seen)
+		for i := 1; i < len(seen); i++ {
+			a, b := seen[i-1], seen[i]
+			if a.cycle > b.cycle || (a.cycle == b.cycle && a.seq > b.seq) {
+				t.Fatalf("comp %d executed out of (cycle, seq) order: (%d,%d) before (%d,%d)",
+					comp, a.cycle, a.seq, b.cycle, b.seq)
+			}
+		}
+	}
+	if total != 8*20 {
+		t.Fatalf("expected %d executions, got %d", 8*20, total)
 	}
 }
