@@ -2,9 +2,9 @@ package boundweave
 
 // Allocation-regression tests for the weave hot path. The tentpole property
 // of the pooled pipeline is that a steady-state interval — recording access
-// traces, building the event graph, running the engine, and recycling the
-// buffers — performs O(1) heap allocations once the slabs, queues and
-// freelists have warmed up.
+// traces, building the event graph, running it, and truncating the logs —
+// performs O(1) heap allocations once the graph, heap and hop logs have
+// warmed up.
 
 import (
 	"testing"
@@ -44,8 +44,8 @@ func newContentionSim(t *testing.T) *Simulator {
 	return NewSimulator(sys, sched, telemetryOpts(Options{HostThreads: 1, Seed: 1}))
 }
 
-// fillRecorders injects one synthetic shared-touching trace per core, using
-// the given recycled buffers, and returns the replacement buffers.
+// fillRecorders injects one synthetic shared-touching trace per core through
+// the cores' reusable buffers.
 func fillRecorders(sim *Simulator, bufs [][]cache.Hop) {
 	bankComp := sim.Sys.BankComp[0]
 	memComp := sim.Sys.MemComp[0]
@@ -66,7 +66,7 @@ func TestRunWeaveSteadyStateAllocs(t *testing.T) {
 		fillRecorders(sim, bufs)
 		sim.runWeave()
 	}
-	// Warm up slabs, heaps, freelists and the engine's scratch buffers.
+	// Warm up the graph, its heap and the hop logs.
 	for i := 0; i < 3; i++ {
 		iteration()
 	}
@@ -99,28 +99,33 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRecorderRecyclesBuffers checks the ownership contract: buffers handed
-// to RecordAccess come back through the freelist after Reset, so a core and
-// its recorder cycle a bounded set of buffers forever.
-func TestRecorderRecyclesBuffers(t *testing.T) {
-	shared := map[int]bool{3: true}
-	rec := NewRecorder(0, shared)
-	first := make([]cache.Hop, 0, 8)
-	first = append(first, cache.Hop{Comp: 3})
-	if got := rec.RecordAccess(0, 1, false, first); got != nil {
-		t.Fatalf("empty freelist should hand back nil, got %v", got)
+// TestRecorderFlatHopLog checks the flat-log contract: a kept trace's hops
+// are copied into the recorder's log and the caller's buffer comes back
+// truncated, a private-only trace is dropped, and Reset truncates the log
+// while keeping its capacity.
+func TestRecorderFlatHopLog(t *testing.T) {
+	rec := NewRecorder(0, map[int]bool{3: true})
+	buf := append(make([]cache.Hop, 0, 8), cache.Hop{Comp: 1, Cycle: 5}, cache.Hop{Comp: 3, Cycle: 9})
+	back := rec.RecordAccess(0, 1, true, buf)
+	if len(back) != 0 || cap(back) != 8 || &back[:1][0] != &buf[0] {
+		t.Fatalf("kept trace should hand back the caller's own buffer truncated, got len=%d cap=%d", len(back), cap(back))
 	}
+	buf[1].Cycle = 99 // the caller reuses its buffer; the log must hold a copy
+	r := rec.recs[0]
+	if got := rec.hops[r.start:r.end]; rec.Len() != 1 || len(got) != 2 || got[1].Cycle != 9 || r.issueCycle != 1 || !r.write {
+		t.Fatalf("kept trace not copied into the log: rec=%+v hops=%+v", r, got)
+	}
+
+	// A private-only trace is dropped and bounces straight back.
+	back = rec.RecordAccess(0, 2, false, append(back, cache.Hop{Comp: 1}))
+	if len(back) != 0 || cap(back) != 8 || rec.Len() != 1 || len(rec.hops) != 2 || rec.Dropped != 1 {
+		t.Fatalf("private-only trace should be dropped: len=%d hops=%d dropped=%d", rec.Len(), len(rec.hops), rec.Dropped)
+	}
+
+	logCap := cap(rec.hops)
 	rec.Reset()
-	second := append(make([]cache.Hop, 0, 8), cache.Hop{Comp: 3})
-	got := rec.RecordAccess(0, 2, false, second)
-	if got == nil || cap(got) != 8 || len(got) != 0 {
-		t.Fatalf("recorder should recycle the first buffer (cap 8, len 0), got len=%d cap=%d", len(got), cap(got))
-	}
-	// A private-only trace bounces straight back to the caller.
-	privBuf := append(got, cache.Hop{Comp: 1})
-	back := rec.RecordAccess(0, 3, false, privBuf)
-	if len(back) != 0 || cap(back) != cap(privBuf) {
-		t.Fatalf("dropped trace should return the caller's own buffer truncated")
+	if rec.Len() != 0 || len(rec.hops) != 0 || cap(rec.hops) != logCap {
+		t.Fatalf("Reset should truncate the log and keep its capacity: len=%d hops=%d cap=%d (want %d)", rec.Len(), len(rec.hops), cap(rec.hops), logCap)
 	}
 }
 
@@ -128,7 +133,7 @@ func TestRecorderRecyclesBuffers(t *testing.T) {
 // NoC contention subsystem enabled: traces now carry network hops that the
 // translation loop expands into per-router events along the mesh route, and
 // the whole pipeline — route walk, router events, port scheduling — must
-// still be allocation-free once slabs and queues have warmed up.
+// still be allocation-free once the graph and heap have warmed up.
 func TestRunWeaveSteadyStateAllocsNOC(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.NumCores = 4
@@ -202,7 +207,7 @@ func TestBoundPhaseSteadyStateAllocs(t *testing.T) {
 	sched.AddWorkload(trace.New("alloc-bound", p, 6)) // oversubscribed: 6 threads, 4 cores
 	sim := NewSimulator(sys, sched, telemetryOpts(Options{HostThreads: 2, Seed: 3}))
 	iteration := func() { sim.runInterval() }
-	// Long warmup: beyond queues and slabs, the lazily allocated cache set
+	// Long warmup: beyond queues, the lazily allocated cache set
 	// arrays must all have been touched before measuring.
 	for i := 0; i < 400; i++ {
 		iteration()

@@ -17,7 +17,7 @@ import (
 // system, scheduler, workload and bound-weave simulator — and bounds the
 // heap allocations per simulated core. Before arena-backed construction this
 // path performed ~72 allocations per core (counters, predictor tables, cache
-// set tables, registry nodes, name strings, event slabs); the arena brought
+// set tables, registry nodes, name strings, event storage); the arena brought
 // it under 10, and arena-backing the workload decode (trace.NewIn +
 // isa.DecodeIn: blocks, µops, timing templates, decoder cache) removed most
 // of what was left — the remainder is per-thread stream objects and
@@ -66,7 +66,7 @@ func TestWorkloadDecodeAllocsBounded(t *testing.T) {
 }
 
 // TestNewSimulatorAllocsBounded isolates NewSimulator itself (recorders,
-// event slabs, weave engine, pool, scratch): on an already-built system it
+// contention models, pool, scratch): on an already-built system it
 // must stay O(1) — everything bulk comes from the system's arena.
 func TestNewSimulatorAllocsBounded(t *testing.T) {
 	cfg := config.TiledChip(4, config.CoreIPC1)
@@ -81,7 +81,7 @@ func TestNewSimulatorAllocsBounded(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 1}).Close()
 	})
-	// Budget: simulator + pool + engine/domains + contention models + a few
+	// Budget: simulator + pool + contention models + a few
 	// amortized arena chunks — independent of the core count.
 	if allocs > 128 {
 		t.Fatalf("NewSimulator allocates %.0f times; budget is 128 (O(1), not O(cores))", allocs)

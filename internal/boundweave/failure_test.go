@@ -188,7 +188,7 @@ func TestRunWorkerPanicRecovered(t *testing.T) {
 }
 
 // panicMemModel is a memctrl.ContentionModel that trips a panic on the Nth
-// request, from inside the weave engine's event execution.
+// request, from inside the weave graph's event execution.
 type panicMemModel struct{ countdown int }
 
 func (p *panicMemModel) RequestLatency(lineAddr, cycle uint64, write bool) uint64 {
@@ -221,7 +221,7 @@ func TestRunWeavePanicRecoveredParallel(t *testing.T) {
 	sched.AddWorkload(trace.New("weave-fault", p, cfg.NumCores))
 	sim := NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 3, MaxWallTime: time.Minute})
 	// Poison the memory controller's contention model: after a few hundred
-	// weave requests it panics inside the engine.
+	// weave requests it panics inside the weave graph's Run.
 	sim.models.mems[sys.MemComp[0]] = &panicMemModel{countdown: 300}
 	sim.Run() // must return, not crash the process
 	if sim.Reason != runctl.ReasonPanicked {

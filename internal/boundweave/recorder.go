@@ -9,12 +9,12 @@ import (
 )
 
 // accessRecord is one bound-phase memory access that left the private cache
-// levels: its zero-load issue cycle, whether it was a store, and the hops it
-// performed.
+// levels: its zero-load issue cycle, whether it was a store, and the
+// [start, end) range its hops occupy in the recorder's hop log.
 type accessRecord struct {
 	issueCycle uint64
+	start, end int32
 	write      bool
-	hops       []cache.Hop
 }
 
 // Recorder is the per-core bound-phase trace: it receives every recorded
@@ -23,16 +23,15 @@ type accessRecord struct {
 // the accesses the weave phase retimes. Each core has its own recorder and is
 // driven by one host thread, so no locking is needed.
 //
-// The recorder owns a freelist of hop buffers: RecordAccess takes ownership
-// of the consumed trace's buffer and hands a recycled one back to the core,
-// and Reset (called after each weave phase) returns every retained buffer to
-// the freelist. After the first few intervals the record path therefore
-// performs no heap allocation.
+// The hops of every kept access are copied into one flat per-core log, so
+// the core reuses a single hop buffer forever and Reset (called after each
+// weave phase) is two truncations. After the first few intervals the record
+// path therefore performs no heap allocation.
 type Recorder struct {
 	coreID int
 	shared []bool // dense component-ID -> weave-retimed table
 	recs   []accessRecord
-	free   [][]cache.Hop
+	hops   []cache.Hop
 	// Dropped counts accesses that stayed within the private levels and were
 	// therefore not recorded (contention there is dominated by the core
 	// itself and is modeled in the bound phase).
@@ -81,9 +80,9 @@ func newRecorderDense(a *arena.Arena, coreID int, shared []bool) *Recorder {
 	return r
 }
 
-// RecordAccess implements core.AccessRecorder. It keeps traces that touch a
-// shared component and returns a recycled hop buffer for the core's next
-// access.
+// RecordAccess implements core.AccessRecorder. It copies traces that touch a
+// shared component into the hop log and hands the caller's buffer back
+// truncated.
 func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops []cache.Hop) []cache.Hop {
 	touchesShared := false
 	for i := range hops {
@@ -94,28 +93,22 @@ func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops 
 	}
 	if !touchesShared {
 		r.Dropped++
-		return hops[:0] // the caller keeps reusing its own buffer
+		return hops[:0]
 	}
-	r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, write: write, hops: hops})
-	if n := len(r.free); n > 0 {
-		buf := r.free[n-1]
-		r.free = r.free[:n-1]
-		return buf
-	}
-	return nil
+	start := int32(len(r.hops))
+	r.hops = append(r.hops, hops...)
+	r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, start: start, end: int32(len(r.hops)), write: write})
+	return hops[:0]
 }
 
 // Len returns the number of recorded accesses in the current interval.
 func (r *Recorder) Len() int { return len(r.recs) }
 
-// Reset clears the interval's records (called after the weave phase),
-// returning their hop buffers to the freelist for the next interval.
+// Reset clears the interval's records and hop log (called after the weave
+// phase), keeping their capacity for the next interval.
 func (r *Recorder) Reset() {
-	for i := range r.recs {
-		r.free = append(r.free, r.recs[i].hops[:0])
-		r.recs[i].hops = nil
-	}
 	r.recs = r.recs[:0]
+	r.hops = r.hops[:0]
 }
 
 // BankModel is the weave-phase contention model for a pipelined L3 bank: a
@@ -193,72 +186,77 @@ func (b *BankModel) Reset() {
 	b.mshrFree = b.mshrFree[:0]
 }
 
+// Weave event kinds: the contention model weaveModels.Exec applies. Chain
+// roots and responses keep kind 0 and finish at their dispatch cycle.
+const (
+	kindBank   event.Kind = iota + 1 // Ctx: bank component; Flag: miss
+	kindMem                          // Ctx: memory component; Arg: line; Flag: writeback
+	kindRouter                       // Ctx: router; Arg: output port
+)
+
 // weaveModels bundles the per-component contention models used by the weave
 // phase of one Simulator, as dense component-ID-indexed tables. fabric is
-// non-nil only when NoC contention is enabled.
+// non-nil only when NoC contention is enabled. It is the weave graph's
+// Executor.
 type weaveModels struct {
 	banks  []*BankModel
 	mems   []memctrl.ContentionModel
 	fabric *noc.Fabric
 }
 
-func (m *weaveModels) bank(comp int) *BankModel {
-	if comp >= 0 && comp < len(m.banks) {
-		return m.banks[comp]
+func (m *weaveModels) isBank(comp int) bool {
+	return comp >= 0 && comp < len(m.banks) && m.banks[comp] != nil
+}
+
+func (m *weaveModels) isMem(comp int) bool {
+	return comp >= 0 && comp < len(m.mems) && m.mems[comp] != nil
+}
+
+// Exec implements event.Executor: it schedules the event on the model its
+// kind and context index name.
+func (m *weaveModels) Exec(_ int32, ev *event.Event, dispatch uint64) uint64 {
+	switch ev.Kind {
+	case kindBank:
+		return m.banks[ev.Ctx].Schedule(dispatch, ev.Flag)
+	case kindMem:
+		return dispatch + m.mems[ev.Ctx].RequestLatency(ev.Arg, dispatch, ev.Flag)
+	case kindRouter:
+		return m.fabric.Router(int(ev.Ctx)).Schedule(int(ev.Arg), dispatch)
 	}
-	return nil
+	return dispatch
 }
 
-func (m *weaveModels) mem(comp int) memctrl.ContentionModel {
-	if comp >= 0 && comp < len(m.mems) {
-		return m.mems[comp]
-	}
-	return nil
+// link adds ev to the graph as the child of prev and returns its index.
+func link(g *event.Graph, prev int32, ev event.Event) int32 {
+	i := g.Add(ev)
+	g.AddChild(prev, i)
+	return i
 }
 
-// bankExec, memExec and routerExec are the shared weave-event executors. The
-// per-event context lives in the event's Ctx/Arg/Flag fields, so building a
-// chain never allocates a closure.
-func bankExec(ev *event.Event, dispatch uint64) uint64 {
-	return ev.Ctx.(*BankModel).Schedule(dispatch, ev.Flag)
-}
-
-func memExec(ev *event.Event, dispatch uint64) uint64 {
-	return dispatch + ev.Ctx.(memctrl.ContentionModel).RequestLatency(ev.Arg, dispatch, ev.Flag)
-}
-
-// routerExec dispatches a packet through one router's output port; Arg
-// carries the port index.
-func routerExec(ev *event.Event, dispatch uint64) uint64 {
-	return ev.Ctx.(*noc.Router).Schedule(int(ev.Arg), dispatch)
-}
-
-// buildChain converts one recorded access into a weave event chain and
-// returns the chain's response event (at the core), whose finish-vs-bound
-// difference is the access's contention delay. Events are allocated from the
-// given slab.
+// buildChain converts one recorded access, issued at issueCycle with the
+// given hops, into a weave event chain on g and returns the index of the chain's response event
+// (at the core), whose finish-vs-bound difference is the access's contention
+// delay.
 //
-// prevResp, when non-nil, is the response event of the same core's most
+// prevResp, when not negative, is the response event of the same core's most
 // recent recorded *load*: it becomes a parent of this chain's root,
 // serializing the core's later shared-level accesses behind the load the
 // core stalled on. A load delayed by contention therefore delays the core's
 // subsequent misses, cascading the contention delay through the access
 // stream exactly as the stalled bound-phase core would have experienced it.
 // Stores do not gate later accesses (the core does not stall on them).
-func buildChain(slab *event.Slab, rec *accessRecord, models *weaveModels, prevResp *event.Event) *event.Event {
+func buildChain(g *event.Graph, issueCycle uint64, hops []cache.Hop, models *weaveModels, prevResp int32) int32 {
 	// Root: the core issues the request at its bound-phase cycle.
-	root := slab.Alloc()
-	root.MinCycle = rec.issueCycle
-	if prevResp != nil {
-		prevResp.AddChild(root)
+	prev := g.Add(event.Event{MinCycle: issueCycle})
+	if prevResp >= 0 {
+		g.AddChild(prevResp, prev)
 	}
 
-	prev := root
-	lastZeroLoadDone := rec.issueCycle
-	for i := range rec.hops {
-		h := &rec.hops[i]
-		switch h.Kind {
-		case cache.HopNet:
+	lastZeroLoadDone := issueCycle
+	for i := range hops {
+		h := &hops[i]
+		switch {
+		case h.Kind == cache.HopNet:
 			// A routed NoC traversal: one event per router along the
 			// topology's deterministic route, each occupying its output port.
 			// The first router dispatches after the zero-load injection
@@ -270,57 +268,21 @@ func buildChain(slab *event.Slab, rec *accessRecord, models *weaveModels, prevRe
 				perHop := fab.PerHop()
 				for cur != dst {
 					next, port := fab.NextHop(cur, dst)
-					ev := slab.Alloc()
-					ev.MinCycle = minCycle
-					ev.Ctx = fab.Router(cur)
-					ev.Arg = uint64(port)
-					ev.Exec = routerExec
-					prev.AddChild(ev)
-					prev = ev
+					prev = link(g, prev, event.Event{MinCycle: minCycle, Kind: kindRouter, Ctx: int32(cur), Arg: uint64(port)})
 					minCycle += perHop
 					cur = next
 				}
 			}
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
-		case cache.HopNetMem:
+		case h.Kind == cache.HopNetMem:
 			// The LLC-to-controller link: a single traversal of the owning
 			// bank's memory-egress port (the one hop the bound phase charges).
 			if fab := models.fabric; fab != nil {
-				src := int(h.Src)
-				ev := slab.Alloc()
-				ev.MinCycle = h.Cycle
-				ev.Ctx = fab.Router(src)
-				ev.Arg = uint64(fab.MemPort())
-				ev.Exec = routerExec
-				prev.AddChild(ev)
-				prev = ev
+				prev = link(g, prev, event.Event{MinCycle: h.Cycle, Kind: kindRouter, Ctx: int32(h.Src), Arg: uint64(fab.MemPort())})
 			}
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
-		}
-		if bank := models.bank(h.Comp); bank != nil {
-			ev := slab.Alloc()
-			ev.MinCycle = h.Cycle
-			ev.Ctx = bank
-			ev.Flag = h.Kind == cache.HopMiss
-			ev.Exec = bankExec
-			prev.AddChild(ev)
-			prev = ev
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
-		}
-		if mem := models.mem(h.Comp); mem != nil {
-			ev := slab.Alloc()
-			ev.MinCycle = h.Cycle
-			ev.Ctx = mem
-			ev.Arg = h.Line
-			ev.Flag = h.Kind == cache.HopWB
-			ev.Exec = memExec
-			prev.AddChild(ev)
-			prev = ev
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
+		case models.isBank(h.Comp):
+			prev = link(g, prev, event.Event{MinCycle: h.Cycle, Kind: kindBank, Ctx: int32(h.Comp), Flag: h.Kind == cache.HopMiss})
+		case models.isMem(h.Comp):
+			prev = link(g, prev, event.Event{MinCycle: h.Cycle, Kind: kindMem, Ctx: int32(h.Comp), Arg: h.Line, Flag: h.Kind == cache.HopWB})
 		}
 		// Private-level hops contribute only their zero-load time.
 		lastZeroLoadDone = h.Cycle + uint64(h.Latency)
@@ -328,8 +290,5 @@ func buildChain(slab *event.Slab, rec *accessRecord, models *weaveModels, prevRe
 
 	// Response event back at the core: its lower bound is the access's
 	// zero-load completion; its actual finish reflects contention upstream.
-	resp := slab.Alloc()
-	resp.MinCycle = lastZeroLoadDone
-	prev.AddChild(resp)
-	return resp
+	return link(g, prev, event.Event{MinCycle: lastZeroLoadDone})
 }

@@ -49,7 +49,7 @@ type Options struct {
 	// simulated time advances but whose threads never finish.
 	MaxCycles uint64
 	// Reusable keeps the simulator's persistent resources (worker pool,
-	// weave engine, slabs, recorders) alive after Run returns so the
+	// weave graph, recorders) alive after Run returns so the
 	// instance can be rewound with Reset and run again. The owner must call
 	// Close when done with the simulator. When false (the default), Run
 	// closes the simulator itself on return.
@@ -79,17 +79,16 @@ type Simulator struct {
 	contention  bool
 
 	recorders []*Recorder
-	slabs     []*event.Slab
 	models    *weaveModels
 	// pool is the bound phase's persistent worker pool (hostThreads
 	// workers).
 	pool *engine.Pool
-	// engine is the persistent weave engine: built once here and reused
-	// every interval.
-	engine *event.Engine
-	// last is the per-core scratch used by runWeave to track each core's
-	// latest response event.
-	last []lastResp
+	// graph is the persistent weave event graph, truncated and rebuilt every
+	// interval.
+	graph event.Graph
+	// last is the per-core scratch used by runWeave to track the index of
+	// each core's latest response event (-1: none).
+	last []int32
 
 	globalCycle uint64
 	rngState    uint64
@@ -147,13 +146,6 @@ type Simulator struct {
 	Reason    runctl.Reason
 	PanicErr  *runctl.PanicError
 	FailPhase string
-}
-
-// lastResp remembers a core's latest weave response event and its zero-load
-// lower bound.
-type lastResp struct {
-	ev       *event.Event
-	minCycle uint64
 }
 
 // NewSimulator wires a built system, a populated scheduler and run options
@@ -228,29 +220,17 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			}
 			s.models.mems[comp] = m
 		}
-		// One dense shared-component table serves every recorder; recorders,
-		// slabs and the bookkeeping slices all come from the construction
-		// arena, so this loop performs O(1) chunk allocations for the whole
-		// chip. Event-slab chunks are allocated lazily on first use.
+		// One dense shared-component table serves every recorder; recorders
+		// and the bookkeeping slices all come from the construction arena, so
+		// this loop performs O(1) chunk allocations for the whole chip.
 		sharedArr := denseShared(a, sys.SharedComp)
 		s.recorders = arena.TakeCap[*Recorder](a, 0, len(sys.Cores))
-		s.slabs = arena.TakeCap[*event.Slab](a, 0, len(sys.Cores))
 		for coreID, c := range sys.Cores {
 			rec := newRecorderDense(a, coreID, sharedArr)
 			s.recorders = append(s.recorders, rec)
 			c.SetRecorder(rec)
-			// A core takes a whole chunk on its first event, and most
-			// cores record a few dozen events per interval: small chunks
-			// keep a many-core chip's slabs from dominating its footprint.
-			slab := event.NewSlabIn(a, 64)
-			// Disjoint per-core sequence bases give every interval event a
-			// globally unique, bound-phase-deterministic sequence number for
-			// the weave heap's (cycle, sequence) tie-break.
-			slab.SetSeqBase(uint64(coreID) << 32)
-			s.slabs = append(s.slabs, slab)
 		}
-		s.engine = event.NewEngine()
-		s.last = arena.Take[lastResp](a, len(sys.Cores))
+		s.last = arena.Take[int32](a, len(sys.Cores))
 	}
 	s.instrsTotal.Store(s.totalInstrs())
 	s.probe = opts.Probe
@@ -297,8 +277,8 @@ func (s *Simulator) Close() {
 // Reset rewinds a reusable simulator — and the System underneath it — to the
 // state a freshly built pair would have, so the same instance can serve
 // another run without reconstruction. Everything expensive stays warm: the
-// construction arena's chunks, the worker pool, the weave engine's heap, the
-// per-core recorders, event slabs and contention models. Only their mutable
+// construction arena's chunks, the worker pool, the weave graph, the per-core
+// recorders and hop logs, and the contention models. Only their mutable
 // state rewinds, so a Reset simulator produces bit-identical results to a
 // fresh build for the same options and workloads.
 //
@@ -308,8 +288,8 @@ func (s *Simulator) Close() {
 // — the caller clears and repopulates it with workloads before the next Run.
 //
 // Reset requires a quiescent simulator whose last Run did not panic: a
-// panicked weave leaves unexecuted events in the engine's heap, so such a
-// simulator must be Closed instead (Reset returns an error and leaves the
+// panicked run may leave any component mid-update, so such a simulator must
+// be Closed instead (Reset returns an error and leaves the
 // simulator untouched).
 func (s *Simulator) Reset(opts Options) error {
 	if s.Reason == runctl.ReasonPanicked {
@@ -326,9 +306,7 @@ func (s *Simulator) Reset(opts Options) error {
 			rec.Dropped = 0
 			c.SetRecorder(rec)
 		}
-		for _, slab := range s.slabs {
-			slab.Reset()
-		}
+		s.graph.Reset()
 		for _, b := range s.models.banks {
 			if b != nil {
 				b.Reset()
@@ -339,9 +317,6 @@ func (s *Simulator) Reset(opts Options) error {
 			if m != nil {
 				m.Reset()
 			}
-		}
-		for i := range s.last {
-			s.last[i] = lastResp{}
 		}
 	}
 	if opts.Profiler != nil {
@@ -658,60 +633,46 @@ loop:
 }
 
 // runWeave builds the interval's event graph from the per-core recorders,
-// executes it on the persistent engine, and feeds
-// the contention delays back into the core clocks. Once the slabs, queues
-// and hop freelists have warmed up, a steady-state weave interval performs
-// no heap allocation.
+// executes it, and feeds the contention delays back into the core clocks.
+// Cores add their chains in ID order, so an event's graph index is its
+// bound-phase-deterministic sequence number. Once the graph, the heap and
+// the hop logs have warmed up, a steady-state weave interval performs no
+// heap allocation.
 func (s *Simulator) runWeave() {
-	engine := s.engine
+	g := &s.graph
+	g.Reset()
 
 	// Build chains per core and remember each core's latest response event.
 	last := s.last
-	for i := range last {
-		last[i] = lastResp{}
-	}
-	totalEvents := uint64(0)
 	for coreID, rec := range s.recorders {
-		slab := s.slabs[coreID]
-		slab.Reset()
-		var prevLoadResp *event.Event
+		prevLoadResp, lastResp := int32(-1), int32(-1)
 		for i := range rec.recs {
 			r := &rec.recs[i]
-			resp := buildChain(slab, r, s.models, prevLoadResp)
+			resp := buildChain(g, r.issueCycle, rec.hops[r.start:r.end], s.models, prevLoadResp)
 			if !r.write {
 				prevLoadResp = resp
 			}
-			totalEvents += uint64(len(r.hops)) + 2
-			if resp.MinCycle >= last[coreID].minCycle {
-				last[coreID] = lastResp{ev: resp, minCycle: resp.MinCycle}
+			// Counted work, not executed events: every hop of the trace
+			// (private ones included) plus the root and the response.
+			s.WeaveEvents += uint64(r.end-r.start) + 2
+			if lastResp < 0 || g.At(resp).MinCycle >= g.At(lastResp).MinCycle {
+				lastResp = resp
 			}
 		}
+		last[coreID] = lastResp
 	}
-	// Enqueue the chain roots: every parentless event in the slabs is the
-	// core-side start of one access chain.
-	for coreID := range s.recorders {
-		slab := s.slabs[coreID]
-		for i := 0; i < slab.InUse(); i++ {
-			ev := slab.At(i)
-			if ev.Parentless() {
-				engine.Enqueue(ev)
-			}
-		}
-	}
-	s.WeaveEvents += totalEvents
 
-	engine.Run()
+	g.Run(s.models)
 
 	// Feedback: each core's clock advances by the contention delay of its
 	// last access (actual finish minus zero-load bound).
-	for coreID, lr := range last {
-		if lr.ev == nil || !lr.ev.Finished() {
+	for coreID, resp := range last {
+		if resp < 0 {
 			continue
 		}
-		if lr.ev.FinishCycle() > lr.minCycle {
-			delay := lr.ev.FinishCycle() - lr.minCycle
-			s.Sys.Cores[coreID].AddDelay(delay)
-			s.TotalFeedback += delay
+		if f, bound := g.FinishCycle(resp), g.At(resp).MinCycle; f > bound {
+			s.Sys.Cores[coreID].AddDelay(f - bound)
+			s.TotalFeedback += f - bound
 		}
 	}
 

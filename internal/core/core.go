@@ -70,12 +70,11 @@ type Core interface {
 // access performed. The bound-weave driver uses it to build weave events for
 // accesses that miss beyond the private levels.
 //
-// RecordAccess takes ownership of the hops slice and returns a replacement
-// hop buffer (length 0, possibly nil) for the core's next access. Recorders
-// recycle the buffers of consumed traces back to their core, which makes the
-// steady-state record path allocation-free. write distinguishes stores (which
-// do not stall the core) from loads, so the weave phase can serialize a
-// core's access stream behind its loads only.
+// RecordAccess copies whatever it keeps of hops and returns the caller's
+// buffer truncated to length 0, so a core reuses one hop buffer forever and
+// the steady-state record path is allocation-free. write distinguishes
+// stores (which do not stall the core) from loads, so the weave phase can
+// serialize a core's access stream behind its loads only.
 type AccessRecorder interface {
 	RecordAccess(coreID int, issueCycle uint64, write bool, hops []cache.Hop) []cache.Hop
 }
@@ -88,7 +87,7 @@ type MemPorts struct {
 
 // memUnit is the access machinery shared by the core models: the cache
 // ports, the installed recorder and observer, and the pooled request plus
-// recycled hop buffer that make the steady-state access path
+// reused hop buffer that make the steady-state access path
 // allocation-free. Core models embed it and issue every hierarchy access
 // through its access method.
 type memUnit struct {
@@ -98,7 +97,7 @@ type memUnit struct {
 	obs   cache.AccessObserver
 
 	// req is the core's reusable request (one access is in flight at a time)
-	// and hopBuf the recycled hop buffer for the next traced access.
+	// and hopBuf the hop buffer every traced access reuses.
 	req    cache.Request
 	hopBuf []cache.Hop
 }
@@ -113,7 +112,7 @@ func (m *memUnit) SetRecorder(rec AccessRecorder) { m.rec = rec }
 func (m *memUnit) SetObserver(obs cache.AccessObserver) { m.obs = obs }
 
 // reset clears the unit's transient state (in-flight request, installed
-// recorder and observer) while keeping the identity, ports and the recycled
+// recorder and observer) while keeping the identity, ports and the reused
 // hop buffer's capacity. A fresh core's hop buffer is nil and a reused one is
 // a zero-length warm buffer; both are fully overwritten before any read.
 func (m *memUnit) reset() {

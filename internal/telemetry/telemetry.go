@@ -51,6 +51,8 @@ type Sample struct {
 	BoundRounds uint64
 	Cycles      uint64
 	Instrs      uint64
+	// WeaveEvents is the counted weave work (zsim.Result.WeaveEvents): trace
+	// hops plus 2 per retimed access, not executed events.
 	WeaveEvents uint64
 
 	// Per-phase wall time spent in the bound and weave phases (host ns).

@@ -431,8 +431,11 @@ type Result struct {
 	BoundRounds uint64
 	// HostTime is the wall-clock time the simulation took.
 	HostTime time.Duration
-	// WeaveEvents is the number of weave-phase events simulated (0 when the
-	// configuration disables contention).
+	// WeaveEvents counts the weave phase's work as trace hops plus 2 (root
+	// and response) per retimed access (0 when the configuration disables
+	// contention). It is not the number of events executed: private-level
+	// hops are counted but create no event, and a routed NoC traversal
+	// counts once but runs one event per router.
 	WeaveEvents uint64
 	// Sched reports the scheduling activity of the virtualization layer.
 	Sched SchedStats
